@@ -302,7 +302,7 @@ class PLRSeries:
     @property
     def n_segments(self) -> int:
         """Number of closed line segments (vertices - 1)."""
-        return max(0, len(self._times) - 1)
+        return max(0, len(self) - 1)
 
     def vertex(self, i: int) -> Vertex:
         """The ``i``-th vertex (supports negative indexing)."""

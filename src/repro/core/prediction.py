@@ -126,6 +126,15 @@ class PredictionPlan:
     vertex, so end-of-stream clamping falls out of the interpolation
     formula: ``alpha = finite / inf = 0``).
 
+    The tail window is stored component first (:attr:`tail`,
+    ``(1 + ndim, K + 1, n)``): ``tail[0, k, j]`` is the time of match
+    ``j``'s ``k``-th tail vertex and ``tail[1:, k, j]`` its position, so
+    every component is one contiguous ``(K + 1, n)`` slab and the
+    serving arithmetic runs over contiguous rows.  :attr:`tail_upper`
+    (``tail[0, 1:]``) is the slab the segment-selecting compare reads.
+    The fleet dispatch concatenates these per-plan buffers along the
+    match axis as they are.
+
     Every serve is byte-identical to the frozen scalar loop
     (``OnlinePredictor._combine_scalar`` /
     ``testing.oracle.reference_prediction``) for ``horizon >= 0``; the
@@ -146,8 +155,8 @@ class PredictionPlan:
         "series_ends",
         "weights",
         "refs",
-        "tail_packed",
-        "tail_times",
+        "tail",
+        "tail_upper",
         "removal_epoch",
         "_cols",
         "_row_series",
@@ -160,7 +169,7 @@ class PredictionPlan:
         series_ends: np.ndarray,
         weights: np.ndarray,
         refs: np.ndarray,
-        tail_packed: np.ndarray,
+        tail: np.ndarray,
         row_series: list[PLRSeries],
         removal_epoch: int,
     ) -> None:
@@ -171,11 +180,8 @@ class PredictionPlan:
         self.series_ends = series_ends
         self.weights = weights
         self.refs = refs
-        # (n, K+1, 1 + ndim): per tail vertex, its time then position —
-        # one packed buffer so a serve gathers segment endpoints with a
-        # single fancy index per side.
-        self.tail_packed = tail_packed
-        self.tail_times = np.ascontiguousarray(tail_packed[..., 0])
+        self.tail = tail
+        self.tail_upper = tail[0, 1:]
         self.removal_epoch = removal_epoch
         self._cols = np.arange(self.n_matches)
         self._row_series = row_series
@@ -193,24 +199,22 @@ class PredictionPlan:
         the packed tail window are recomputed via the scalar
         ``position_at`` only when needed.
         """
-        vt = self.tail_times
-        if t.ndim > 1:
-            vt = vt[None]
-        last = vt.shape[-1] - 1
-        # Count of tail vertices at or before t == searchsorted 'right'
-        # on the same values: selects the segment exactly like the
-        # scalar position_at.
-        li = (vt[..., 1:] <= t[..., None]).sum(axis=-1)
-        li_safe = np.minimum(li, last - 1)
+        n_pairs = self.tail_upper.shape[0]
+        # Count of tail vertices after the first at or before t ==
+        # searchsorted 'right' on the same values: selects the segment
+        # exactly like the scalar position_at.
+        li = (self.tail_upper <= t[..., None, :]).sum(axis=-2)
+        li_safe = np.minimum(li, n_pairs - 1)
         # Fancy-index gathers: self._cols broadcasts against li's leading
-        # axes, so grid serving gathers a whole (H, n) plane in one call.
-        g0 = self.tail_packed[self._cols, li_safe]
-        g1 = self.tail_packed[self._cols, li_safe + 1]
-        t0 = g0[..., 0]
-        t1 = g1[..., 0]
-        alpha = (t - t0) / (t1 - t0)
-        futures = g0[..., 1:] + alpha[..., None] * (g1[..., 1:] - g0[..., 1:])
-        overflow = li > last - 1
+        # axes, so grid serving gathers a whole (H, n) plane in one call
+        # (component first: g0 and g1 are (1 + ndim, ..., n)).
+        g0 = self.tail[:, li_safe, self._cols]
+        g1 = self.tail[:, li_safe + 1, self._cols]
+        t0 = g0[0]
+        p0 = g0[1:]
+        alpha = (t - t0) / (g1[0] - t0)
+        futures = np.moveaxis(p0 + alpha * (g1[1:] - p0), 0, -1)
+        overflow = li > n_pairs - 1
         if need is not None:
             overflow = overflow & need
         if overflow.any():
@@ -333,7 +337,7 @@ def build_prediction_plan(
     series_ends = np.empty(n)
     weights = np.empty(n)
     refs = np.empty((n, ndim))
-    tail_packed = np.empty((n, window, 1 + ndim))
+    tail = np.empty((1 + ndim, window, n))
     row_series: list[PLRSeries] = [None] * n  # type: ignore[list-item]
     groups: dict[str, tuple[PLRSeries, list[int]]] = {}
     weight_of: dict = {}
@@ -374,17 +378,17 @@ def build_prediction_plan(
             refs[rows] = positions[starts_all[rows]]
         indices = ends[:, None] + offsets
         clamped = np.minimum(indices, len(times) - 1)
-        tail_packed[rows, :, 0] = np.where(
+        tail[0][:, rows] = np.where(
             indices < len(times), times[clamped], np.inf
-        )
-        tail_packed[rows, :, 1:] = positions[clamped]
+        ).T
+        tail[1:][:, :, rows] = positions[clamped].T
     return PredictionPlan(
         anchor=anchor_position,
         end_times=end_times,
         series_ends=series_ends,
         weights=weights,
         refs=refs,
-        tail_packed=tail_packed,
+        tail=tail,
         row_series=row_series,
         removal_epoch=database.removal_epoch,
     )

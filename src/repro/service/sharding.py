@@ -675,7 +675,9 @@ class ShardCoordinator:
         Sends all frames before reading any (workers compute
         concurrently).  Returns ``(replies, crashed_shard)``; on a
         crash the surviving replies are still gathered and returned so
-        the caller can fold them in before recovering.
+        the caller can fold them in before recovering.  A failed reply
+        (``ok: false``) is raised only once every sent shard's reply has
+        been read, so no stale reply is left for the next RPC.
         """
         crashed = None
         sent = []
@@ -688,16 +690,16 @@ class ShardCoordinator:
         replies: dict[int, dict] = {}
         for shard in sent:
             try:
-                reply = self._recv_reply(shard)
+                replies[shard] = _recv_frame(self._readers[shard])
             except (OSError, WireEOF):
                 # EOF for a clean death; ECONNRESET for a hard kill.
                 crashed = shard
-                continue
-            replies[shard] = reply
+        for shard, reply in replies.items():
+            self._check_reply(shard, reply)
         return replies, crashed
 
-    def _recv_reply(self, shard: int) -> dict:
-        reply = _recv_frame(self._readers[shard])
+    @staticmethod
+    def _check_reply(shard: int, reply: dict) -> dict:
         if not reply.get("ok"):
             raise RuntimeError(
                 f"shard {shard} RPC failed: {reply.get('error')}"
@@ -707,9 +709,10 @@ class ShardCoordinator:
     def _request(self, shard: int, request: dict) -> dict:
         try:
             _send_frame(self._socks[shard], request)
-            return self._recv_reply(shard)
+            reply = _recv_frame(self._readers[shard])
         except (OSError, WireEOF):
             raise WorkerCrashed(shard) from None
+        return self._check_reply(shard, reply)
 
     # -- lifecycle ---------------------------------------------------------------
 

@@ -1,6 +1,8 @@
 """Tests for the pluggable storage backends and crash-safe persistence."""
 
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,9 +14,13 @@ from repro.database.backend import (
     atomic_write_text,
     create_backend,
 )
+from repro.core.matching import SubsequenceMatcher
 from repro.core.model import BreathingState, Vertex
+from repro.core.online import OnlineSessionConfig
+from repro.core.prediction import _PLAN_TAIL_COLUMNS, build_prediction_plan
 from repro.database.ingest import StreamIngestor
 from repro.database.store import MotionDatabase
+from repro.service.manager import _FleetDispatch
 from repro.signals.patients import PatientAttributes
 
 from conftest import make_series
@@ -394,6 +400,101 @@ class TestCompaction:
         assert len(seen) == 1
         assert seen[0]["snapshot_id"] == 1
         assert seen[0]["n_streams"] == 2
+
+
+def _history() -> dict:
+    """Two never-closed series: a 90 s history and a short live stream."""
+    return {
+        "PA/S00": make_series(30),
+        "PB/S00": make_series(4, amplitude=9.0, start=0.4),
+    }
+
+
+def _store(history, backend=None) -> MotionDatabase:
+    db = MotionDatabase(backend=backend)
+    for stream_id, series in history.items():
+        patient_id, session_id = stream_id.split("/")
+        db.add_patient(patient_id)
+        db.add_stream(patient_id, session_id, series=series)
+    return db
+
+
+def _reopened(tmp_path, history) -> MotionDatabase:
+    """``history`` compacted, closed and reopened from its snapshot."""
+    db = _store(history, LoggedBackend(tmp_path))
+    db.compact()
+    db.close()
+    return MotionDatabase(backend=LoggedBackend(tmp_path))
+
+
+def _probes(series) -> np.ndarray:
+    """Times before, on, between and after every vertex."""
+    times = series.times
+    return np.concatenate(
+        [times[:1] - 1.0, times, (times[:-1] + times[1:]) / 2, times[-1:] + 1.0]
+    )
+
+
+class TestReopenedLazySeries:
+    """Regression: a series adopted from snapshot columns
+    (``PLRSeries.from_dense``) counted no segments until something
+    materialised its vertices, so ``segment``, ``segment_index_at`` and
+    ``position_at`` raised on every series of a reopened compacted store.
+    """
+
+    ACCESSORS = {
+        "n_segments": lambda s: s.n_segments,
+        "segment": lambda s: [
+            s.segment(i) for i in range(-s.n_segments, s.n_segments)
+        ],
+        "segment_index_at": lambda s: [
+            s.segment_index_at(float(t)) for t in _probes(s)
+        ],
+        "position_at": lambda s: np.stack(
+            [s.position_at(float(t)) for t in _probes(s)]
+        ),
+    }
+
+    @pytest.mark.parametrize("accessor", sorted(ACCESSORS))
+    def test_reopened_series_answers_like_never_closed(
+        self, tmp_path, accessor
+    ):
+        history = _history()
+        reopened = _reopened(tmp_path, history)
+        read = self.ACCESSORS[accessor]
+        for stream_id, original in history.items():
+            series = reopened.stream(stream_id).series
+            assert series._pending is not None, "not lazily adopted"
+            np.testing.assert_equal(read(series), read(original))
+        reopened.close()
+
+    def test_fleet_serve_past_packed_tail_reads_reopened_series(
+        self, tmp_path
+    ):
+        history = _history()
+        never_closed = _store(history)
+        reopened = _reopened(tmp_path, _history())
+        query = history["PB/S00"].suffix(4)
+        matcher = SubsequenceMatcher(never_closed)
+        matches = matcher.find_matches(query, "PB/S00", threshold=math.inf)
+        # The horizon runs past every match's packed tail window, so each
+        # usable match is answered by its series' position_at.
+        horizon = 15.0
+        gaps = np.diff(history["PA/S00"].times)
+        assert horizon > _PLAN_TAIL_COLUMNS * gaps.max()
+        expected, n_expected = build_prediction_plan(
+            never_closed, query, matches, matcher.params
+        ).serve(horizon)
+        assert expected is not None
+        plan = build_prediction_plan(reopened, query, matches, matcher.params)
+        assert reopened.stream("PA/S00").series._pending is not None
+        session = SimpleNamespace(config=OnlineSessionConfig(min_matches=1))
+        served, counts, positions = _FleetDispatch([session], [plan]).serve(
+            np.array([horizon])
+        )
+        assert served[0] and counts[0] == n_expected
+        np.testing.assert_array_equal(positions[0], expected)
+        reopened.close()
 
 
 @pytest.mark.parametrize("backend_name", BACKEND_NAMES)

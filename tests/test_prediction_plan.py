@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.matching import SubsequenceMatcher
@@ -24,11 +24,14 @@ from repro.core.prediction import (
 )
 from repro.database.store import MotionDatabase
 from repro.obs.telemetry import Telemetry
-from repro.service.manager import _FleetDispatch
+from repro.service.manager import SessionManager, _FleetDispatch
 from repro.signals.respiratory import RespiratorySimulator, SessionConfig
 from repro.testing.oracle import reference_prediction
 
 from conftest import EOE, EX, IN
+
+
+LATENCY = 0.2
 
 
 def random_breathing_plr(rng, n_vertices, ndim=1):
@@ -217,6 +220,146 @@ class TestFleetDispatch:
             else:
                 assert served[k]
                 assert np.array_equal(expected, positions[k])
+
+    @staticmethod
+    def _past_tail_horizon(plan, rng):
+        """A horizon past some usable match's packed tail, if any has one.
+
+        Such a match is answered by its series' ``position_at``.
+        """
+        last = plan.tail_upper[-1]
+        room = np.flatnonzero(plan.series_ends > last)
+        if not len(room):
+            return float(rng.uniform(0.0, 30.0))
+        j = int(rng.choice(room))
+        target = last[j] + 0.5 * (plan.series_ends[j] - last[j])
+        return float(target - plan.end_times[j])
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        ndim=st.sampled_from([1, 2]),
+        n_narrow=st.integers(min_value=1, max_value=4),
+        min_matches=st.integers(min_value=1, max_value=3),
+    )
+    def test_skewed_ragged_rows_byte_identical_per_row(
+        self, seed, ndim, n_narrow, min_matches
+    ):
+        """One wide tenant beside single-match tenants (>= 50x apart),
+        horizons past the packed tail: each row == its plan.serve."""
+        rng = np.random.default_rng(seed)
+        db, matcher, query, matches = random_setup(
+            seed, ndim=ndim, n_streams=24
+        )
+        assume(len(matches) >= 50)
+        plans = [build_prediction_plan(db, query, matches, matcher.params)]
+        for k in range(n_narrow):
+            db_k, matcher_k, query_k, matches_k = random_setup(
+                seed * 31 + k + 1, ndim=ndim
+            )
+            assume(matches_k)
+            plans.append(
+                build_prediction_plan(
+                    db_k, query_k, matches_k[:1], matcher_k.params
+                )
+            )
+        order = rng.permutation(len(plans))
+        plans = [plans[i] for i in order]
+        sessions = [self._FakeSession(min_matches) for _ in plans]
+        fleet = _FleetDispatch(sessions, plans)
+        horizons = np.array(
+            [self._past_tail_horizon(plan, rng) for plan in plans]
+        )
+        served, counts, positions = fleet.serve(horizons)
+        for k, plan in enumerate(plans):
+            expected, n_usable = plan.serve(
+                float(horizons[k]), min_matches=min_matches
+            )
+            assert counts[k] == n_usable
+            assert served[k] == (expected is not None)
+            if expected is not None:
+                assert np.array_equal(expected, positions[k])
+
+    def test_manager_lifecycle_serves_match_fresh_dispatch_and_plans(
+        self, small_cohort, monkeypatch
+    ):
+        """One manager through query refreshes, session open and close,
+        and a tenant dropping to no plan: every serve of the cached
+        dispatch equals a freshly built one and each row's own
+        plan.serve, bit for bit."""
+        serve = _FleetDispatch.serve
+        dispatches = []
+
+        def checked_serve(fleet, horizons):
+            served, counts, positions = serve(fleet, horizons)
+            fresh = serve(_FleetDispatch(fleet.sessions, fleet.plans), horizons)
+            assert np.array_equal(served, fresh[0])
+            assert np.array_equal(counts, fresh[1])
+            for k, (session, plan) in enumerate(
+                zip(fleet.sessions, fleet.plans)
+            ):
+                expected, n_usable = plan.serve(
+                    float(horizons[k]), min_matches=session.config.min_matches
+                )
+                assert counts[k] == n_usable
+                assert served[k] == (expected is not None)
+                if expected is not None:
+                    assert np.array_equal(positions[k], expected)
+                    assert np.array_equal(fresh[2][k], expected)
+            if not dispatches or dispatches[-1] is not fleet:
+                dispatches.append(fleet)
+            return served, counts, positions
+
+        monkeypatch.setattr(_FleetDispatch, "serve", checked_serve)
+        patients = small_cohort.patient_ids[:3]
+        raws = {
+            pid: RespiratorySimulator(
+                small_cohort.profile(pid), SessionConfig(duration=36.0)
+            ).generate_session(7, seed=60 + k)
+            for k, pid in enumerate(patients)
+        }
+        n_ticks = len(raws[patients[0]].times)
+        manager = SessionManager(copy.deepcopy(small_cohort.db))
+        live: dict[str, str] = {}  # stream id -> patient id
+
+        def open_tenant(pid, session_id, min_matches):
+            config = OnlineSessionConfig(min_matches=min_matches)
+            session = manager.open_session(pid, session_id, config=config)
+            live[session.stream_id] = pid
+
+        open_tenant(patients[0], "A", 1)
+        open_tenant(patients[1], "A", 3)
+        dropped = None
+        served_without_plan = 0
+        for i, t in enumerate(raws[patients[0]].times):
+            if i == n_ticks // 4:
+                open_tenant(patients[2], "A", 2)
+            if i == n_ticks // 2:
+                closing = f"{patients[1]}/A"
+                manager.close_session(closing)
+                del live[closing]
+                open_tenant(patients[1], "B", 2)
+            if i == 2 * n_ticks // 3:
+                dropped = f"{patients[0]}/A"
+                manager.adopt_matches(dropped, [])
+            manager.tick(
+                float(t), {sid: raws[pid].values[i] for sid, pid in live.items()}
+            )
+            manager.predict_ahead_all(LATENCY)
+            if dropped is not None:
+                # Until its next query refresh, the tenant has no plan.
+                session = manager.session(dropped)
+                if session.prediction_plan() is None:
+                    assert session not in manager._fleet.sessions
+                    served_without_plan += 1
+            if i % 90 == 45:
+                # Far past every packed tail: the position_at fallback.
+                manager.predict_at_all(float(t) + 20.0)
+        manager.close(keep_streams=False)
+        assert served_without_plan > 0
+        assert len(dispatches) >= 5
+        assert any(len(fleet.plans) == 3 for fleet in dispatches)
+        assert any(len(fleet.plans) < 3 for fleet in dispatches)
 
 
 class TestHorizonGrid:

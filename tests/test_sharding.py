@@ -168,6 +168,7 @@ def serve_sharded(
     compact_at=(),
     kill=(),
     capture=None,
+    failed_rpc_at=(),
 ):
     """Drive a sharded fleet through the full tick/predict loop.
 
@@ -175,7 +176,9 @@ def serve_sharded(
     the fleet (checkpointing sessions and truncating frame logs);
     ``kill`` lists ``(shard, tick)`` pairs hard-killed with SIGKILL just
     before that tick; ``capture``, when a dict, receives the final
-    per-shard frame-log lengths and worker-side stream digests.
+    per-shard frame-log lengths and worker-side stream digests;
+    ``failed_rpc_at`` lists tick indices just before which one exchange
+    fails on every shard (an unknown op) and must raise.
     """
     partition_database(db, root, n_workers)
     coordinator = ShardCoordinator(
@@ -199,6 +202,11 @@ def serve_sharded(
             for shard, at in kill:
                 if i == at:
                     os.kill(coordinator._procs[shard].pid, signal.SIGKILL)
+            if i in failed_rpc_at:
+                with pytest.raises(RuntimeError, match="shard 0 RPC failed"):
+                    coordinator._exchange(
+                        {s: {"op": "no_such_op"} for s in range(n_workers)}
+                    )
             coordinator.tick(
                 float(t),
                 {sid: raw.values[i] for sid, raw in by_stream.items()},
@@ -449,6 +457,29 @@ class TestFleetRegistry:
         assert fleet.counter("shard.rpcs") == N_WORKERS + sum(
             snap.counter("shard.rpcs") for snap in per_worker.values()
         )
+
+
+class TestFailedExchange:
+    def test_every_reply_is_drained_before_the_error_is_raised(
+        self, tmp_path
+    ):
+        """Regression: the first ``ok: false`` reply raised at once and
+        left the later shards' replies unread, so the coordinator's next
+        RPC read a stale reply.  After a failed exchange on every shard,
+        serving must carry on byte-identical to a single process."""
+        db, raws = build_fleet()
+        builder = PipelineBuilder.from_session_config(OnlineSessionConfig())
+        p_solo, m_solo = serve_single_process(db, raws, builder)
+        n_ticks = len(next(iter(raws.values())).times)
+        p_sharded, m_sharded, _, _ = serve_sharded(
+            db,
+            raws,
+            builder,
+            tmp_path,
+            failed_rpc_at=(0, n_ticks // 2),
+        )
+        assert_identical_predictions(p_solo, p_sharded)
+        assert m_solo == m_sharded
 
 
 # -- foreign-series pooling ----------------------------------------------------

@@ -15,12 +15,26 @@ window.  The scan can additionally fan out across streams on a thread
 pool (``scan_workers``), since the per-stream work is numpy-dominated
 and releases the GIL.
 
+Every leg — rigid and normalized, warped, over the index or the scan —
+runs one sequence of stages: candidates, admissibility mask, provenance
+and source weights, distance kernel, threshold, rank.  Every candidate
+set carries interned stream codes, so the per-stream work (exclusion,
+patient restriction, provenance, ranking keys) runs once per stream and
+expands to candidates by integer indexing.  Only the kernel and the
+candidate grouping vary by mode.
+
 Ranking is fully deterministic: equal distances tie-break by
-``(stream_id, start)``, so retrieval is reproducible across runs and
-platforms.  When only the best ``max_matches`` are wanted, the ranking
-uses ``np.argpartition`` top-k selection instead of a full sort — the
-selected set (including boundary ties) is sorted, so the result is
+``(stream_id, start, n_vertices)``, so retrieval is reproducible across
+runs and platforms.  When only the best ``max_matches`` are wanted, the
+ranking uses ``np.argpartition`` top-k selection instead of a full sort
+— the selected set (including boundary ties) is sorted, so the result is
 identical to sorting everything and truncating.
+
+The ranked result is a columnar :class:`MatchSet`: the interned stream
+names, and per match its stream code, start, length and distance, plus
+the provenance per code.  The prediction plan builder reads those
+columns directly, so the serving path creates no :class:`Match` object;
+indexing or iterating the set materialises them, once per set.
 
 Same-stream candidates that overlap the query window are always excluded:
 the query is the live suffix of its own stream, and an overlapping window
@@ -29,6 +43,7 @@ has no usable future.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
@@ -57,6 +72,7 @@ from .similarity import (
 
 __all__ = [
     "Match",
+    "MatchSet",
     "PartialTopK",
     "QueryView",
     "SubsequenceMatcher",
@@ -93,6 +109,126 @@ def match_sort_key(match: Match) -> tuple[float, str, int, int]:
     historical ``(distance, stream_id, start)``.
     """
     return (match.distance, match.stream_id, match.start, match.n_vertices)
+
+
+class MatchSet(Sequence[Match]):
+    """A ranked retrieval result, held as columns.
+
+    Match ``i`` is the window ``starts[i] : starts[i] + lengths[i]`` of
+    stream ``names[codes[i]]`` at distance ``distances[i]``, with
+    provenance ``relations[codes[i]]`` (entries of codes no match uses
+    may be ``None``).  :func:`~repro.core.prediction.build_prediction_plan`
+    reads these columns directly.
+
+    The set is a read-only sequence of :class:`Match`: indexing or
+    iterating it builds the ``Match`` objects, once per set, with the
+    field values and types the matcher has always returned.  It compares
+    equal to the ``list`` of those matches, in both directions.
+    """
+
+    __slots__ = (
+        "names",
+        "codes",
+        "starts",
+        "lengths",
+        "distances",
+        "relations",
+        "_matches",
+    )
+
+    def __init__(
+        self,
+        names: np.ndarray,
+        codes: np.ndarray,
+        starts: np.ndarray,
+        lengths: np.ndarray,
+        distances: np.ndarray,
+        relations: list[SourceRelation | None],
+    ) -> None:
+        self.names = names
+        self.codes = codes
+        self.starts = starts
+        self.lengths = lengths
+        self.distances = distances
+        self.relations = relations
+        self._matches: tuple[Match, ...] | None = None
+
+    @classmethod
+    def from_matches(cls, matches: Iterable[Match]) -> "MatchSet":
+        """The columnar form of ``matches``, which it keeps as its items.
+
+        Streams are interned by ``(stream_id, relation)``, so any list —
+        including one merged across shards — has one relation per code.
+        A :class:`MatchSet` is returned as it is.
+        """
+        if isinstance(matches, MatchSet):
+            return matches
+        matches = tuple(matches)
+        n = len(matches)
+        interned: dict[tuple[str, SourceRelation], int] = {}
+        names: list[str] = []
+        relations: list[SourceRelation | None] = []
+        codes = np.empty(n, dtype=np.intp)
+        for i, match in enumerate(matches):
+            key = (match.stream_id, match.relation)
+            code = interned.get(key)
+            if code is None:
+                code = interned[key] = len(names)
+                names.append(match.stream_id)
+                relations.append(match.relation)
+            codes[i] = code
+        result = cls(
+            np.asarray(names, dtype=object),
+            codes,
+            np.fromiter((m.start for m in matches), np.int64, n),
+            np.fromiter((m.n_vertices for m in matches), np.intp, n),
+            np.fromiter((m.distance for m in matches), float, n),
+            relations,
+        )
+        result._matches = matches
+        return result
+
+    @classmethod
+    def empty(cls) -> "MatchSet":
+        """A set with no matches."""
+        return cls.from_matches(())
+
+    def _materialised(self) -> tuple[Match, ...]:
+        matches = self._matches
+        if matches is None:
+            names = [str(name) for name in self.names.tolist()]
+            relations = self.relations
+            matches = self._matches = tuple(
+                Match(names[c], start, length, distance, relations[c])
+                for c, start, length, distance in zip(
+                    self.codes.tolist(),
+                    self.starts.tolist(),
+                    self.lengths.tolist(),
+                    self.distances.tolist(),
+                )
+            )
+        return matches
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self._materialised()[index])
+        return self._materialised()[index]
+
+    def __iter__(self):
+        return iter(self._materialised())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (MatchSet, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None  # type: ignore[assignment]  # equal to lists
+
+    def __repr__(self) -> str:
+        return f"MatchSet({list(self._materialised())!r})"
 
 
 @dataclass(frozen=True)
@@ -268,11 +404,12 @@ class SubsequenceMatcher:
         restrict_patients: Iterable[str] | None = None,
         exclude_streams: Iterable[str] | None = None,
         params: SimilarityParams | None = None,
-    ) -> list[Match]:
+    ) -> MatchSet:
         """Similar subsequences for ``query``, closest first.
 
         Ordering is deterministic: ascending distance, ties broken by
-        ``(stream_id, start)``.
+        ``(stream_id, start, n_vertices)``.  The result is a columnar
+        :class:`MatchSet`, a read-only sequence of :class:`Match`.
 
         Parameters
         ----------
@@ -287,7 +424,9 @@ class SubsequenceMatcher:
             ``math.inf`` to disable.
         max_matches:
             Keep only the closest ``max_matches`` (top-k selection via
-            ``np.argpartition`` — no full sort of the candidate set).
+            ``np.argpartition`` — no full sort of the candidate set);
+            ``0`` returns no match, and a negative value raises
+            :class:`ValueError`.
         restrict_patients:
             When given, only streams of these patients are searched (the
             Figure 8a "prediction with clustering" mode).
@@ -301,6 +440,10 @@ class SubsequenceMatcher:
         params:
             Per-call parameter override (ablation sweeps).
         """
+        if max_matches is not None and max_matches < 0:
+            raise ValueError(
+                f"max_matches must be None or >= 0, got {max_matches}"
+            )
         telemetry = self._t
         if telemetry is None:
             return self._find(
@@ -373,111 +516,52 @@ class SubsequenceMatcher:
         exclude_streams: Iterable[str] | None,
         params: SimilarityParams | None,
         stats: dict | None,
-    ) -> list[Match]:
+    ) -> MatchSet:
         """The retrieval itself; ``stats`` (telemetry only) is filled with
         candidate counts at each pruning stage.
 
-        Dispatches on ``params.mode``: warped retrieval has its own
-        coarse-to-fine pipeline (:meth:`_find_warped`); normalized mode
-        reuses the rigid pipeline with the z-normalized distance kernel
-        swapped in; rigid mode runs the historical path untouched —
-        byte-identical matches to every pre-mode release.
+        Dispatches on ``params.mode``: warped retrieval scores coarse
+        signature groups one by one (:meth:`_find_warped`); rigid and
+        normalized retrieval score the query's one fine signature, with
+        the matching distance kernel.
         """
         params = params or self.params
         if threshold is None:
             threshold = params.distance_threshold
+        excluded: set[str] | None = None
+        if exclude_streams is not None:
+            excluded = {str(s) for s in exclude_streams}
+            excluded.discard(str(query_stream_id))
+        allowed = None if restrict_patients is None else set(restrict_patients)
         if params.mode is MatchMode.WARPED:
             return self._find_warped(
                 query,
                 query_stream_id,
                 threshold,
                 max_matches,
-                restrict_patients,
-                exclude_streams,
+                excluded,
+                allowed,
                 params,
                 stats,
             )
 
         candidates = self._candidates(query)
         if candidates is None or candidates.n_candidates == 0:
-            return []
+            return MatchSet.empty()
         if stats is not None:
             stats["generated"] = candidates.n_candidates
-
-        mask = self._admissible(candidates, query, query_stream_id)
-        codes = candidates.codes
-        if exclude_streams is not None:
-            excluded = {str(s) for s in exclude_streams}
-            excluded.discard(str(query_stream_id))
-            if excluded:
-                if codes is not None:
-                    # Per-stream membership test over the intern table,
-                    # expanded to candidates by integer indexing.
-                    name_ok = np.asarray(
-                        [
-                            nm not in excluded
-                            for nm in candidates.names.tolist()
-                        ]
-                    )
-                    mask &= name_ok[codes]
-                else:
-                    mask &= np.asarray(
-                        [sid not in excluded for sid in candidates.stream_ids]
-                    )
-        if restrict_patients is not None:
-            allowed = set(restrict_patients)
-            if codes is not None:
-                patient_of = self._patient_lookup(candidates.names)
-                name_ok = np.asarray(
-                    [
-                        patient_of[str(nm)] in allowed
-                        for nm in candidates.names.tolist()
-                    ]
-                )
-                mask &= name_ok[codes]
-            else:
-                patient_of = self._patient_lookup(candidates.stream_ids)
-                mask &= np.asarray(
-                    [
-                        patient_of[sid] in allowed
-                        for sid in candidates.stream_ids
-                    ]
-                )
-        if not mask.any():
-            return []
-        candidates = candidates.select(mask)
-        codes = candidates.codes
-
-        relations: list[SourceRelation | None] | None
-        if codes is not None:
-            rel_of, weight_of, vanished = self._relations_by_code(
-                codes, candidates.names, query_stream_id, params
-            )
-            weights = weight_of[codes]
-            relations = None
-        else:
-            rel_of = None
-            relations, weights, vanished = self._relations_and_weights(
-                candidates.stream_ids, query_stream_id, params
-            )
-        if vanished:
-            # A stream vanished between index catch-up and ranking
-            # (concurrent removal).  Degrade gracefully: drop its
-            # candidates rather than fail the whole retrieval; the next
-            # lookup's epoch check purges the stale postings.
-            if codes is not None:
-                live = np.asarray(
-                    [rel_of[c] is not None for c in codes.tolist()]
-                )
-            else:
-                live = np.asarray([r is not None for r in relations])
-            if not live.any():
-                return []
-            candidates = candidates.select(live)
-            codes = candidates.codes
-            weights = weights[live]
-            if relations is not None:
-                relations = [r for r in relations if r is not None]
+        admitted = self._admit(
+            candidates,
+            query,
+            query_stream_id,
+            query.n_vertices,
+            excluded,
+            allowed,
+            params,
+        )
+        if admitted is None:
+            return MatchSet.empty()
+        candidates, weights, relations = admitted
         if stats is not None:
             stats["admissible"] = candidates.n_candidates
         distance_kernel = (
@@ -493,90 +577,58 @@ class SubsequenceMatcher:
             params,
         )
 
-        keep = distances <= threshold
-        if not keep.any():
-            return []
-        kept = np.flatnonzero(keep)
+        kept = np.flatnonzero(distances <= threshold)
+        if len(kept) == 0:
+            return MatchSet.empty()
         if stats is not None:
             stats["ranked"] = len(kept)
-        if codes is not None:
-            # The intern table is insertion-ordered but the ranking
-            # contract ties on the id *string*, so map codes through the
-            # lexicographic rank of their names (relative order matches
-            # np.unique's inverse codes exactly).
-            names = candidates.names
-            lex = np.empty(len(names), dtype=np.intp)
-            lex[np.argsort(names)] = np.arange(len(names))
-            rank_codes = lex[codes[kept]]
-        else:
-            rank_codes = None
-        indices = kept[
-            self._rank(
-                distances[kept],
-                candidates.stream_ids[kept],
-                candidates.starts[kept],
-                max_matches,
-                codes=rank_codes,
-            )
-        ]
-
-        if codes is not None:
-            return [
-                Match(
-                    stream_id=str(candidates.stream_ids[i]),
-                    start=int(candidates.starts[i]),
-                    n_vertices=query.n_vertices,
-                    distance=float(distances[i]),
-                    relation=rel_of[codes[i]],
-                )
-                for i in indices
-            ]
-        return [
-            Match(
-                stream_id=str(candidates.stream_ids[i]),
-                start=int(candidates.starts[i]),
-                n_vertices=query.n_vertices,
-                distance=float(distances[i]),
-                relation=relations[i],
-            )
-            for i in indices
-        ]
+        names = candidates.names
+        codes = candidates.codes[kept]
+        starts = candidates.starts[kept]
+        distances = distances[kept]
+        order = self._rank(
+            distances, _lexicographic(names)[codes], starts, max_matches
+        )
+        return MatchSet(
+            names,
+            codes[order],
+            starts[order],
+            np.full(len(order), query.n_vertices, dtype=np.intp),
+            distances[order],
+            relations,
+        )
 
     # -- ranking ------------------------------------------------------------------
 
     @staticmethod
     def _rank(
         distances: np.ndarray,
-        stream_ids: np.ndarray,
+        name_ranks: np.ndarray,
         starts: np.ndarray,
         max_matches: int | None,
-        codes: np.ndarray | None = None,
+        lengths: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Order candidates by ``(distance, stream_id, start)``.
+        """Order candidates by ``(distance, stream_id, start, n_vertices)``.
 
-        With ``max_matches`` set, ``np.argpartition`` preselects the k
-        smallest distances plus any candidates tied with the k-th value,
-        and only that subset is sorted — the truncated result is exactly
-        the full sort's head.
-
-        ``codes`` optionally carries precomputed per-candidate sort keys
-        whose relative order equals the ids' lexicographic order (the
-        interned-code path); otherwise they are derived here.
+        ``name_ranks`` are per-candidate keys whose relative order is the
+        stream ids' lexicographic order; ``lengths`` may be omitted when
+        every candidate has the same one.  With ``max_matches`` set,
+        ``np.argpartition`` preselects the k smallest distances plus any
+        candidates tied with the k-th value, and only that subset is
+        sorted — the truncated result is exactly the full sort's head.
         """
-        if codes is None:
-            # np.unique sorts the (string) ids directly; converting the
-            # object array to fixed-width unicode first costs more than
-            # the sort and yields the same lexicographic codes.
-            codes = np.unique(stream_ids, return_inverse=True)[1]
+        keys = (starts, name_ranks, distances)
+        if lengths is not None:
+            keys = (lengths, *keys)
         if max_matches is not None and max_matches < len(distances):
+            if max_matches == 0:
+                return np.empty(0, dtype=np.intp)
             head = np.argpartition(distances, max_matches - 1)[:max_matches]
             cut = distances[head].max()
             sel = np.flatnonzero(distances <= cut)
-            order = np.lexsort(
-                (starts[sel], codes[sel], distances[sel])
-            )
+            order = np.lexsort(tuple(key[sel] for key in keys))
             return sel[order][:max_matches]
-        return np.lexsort((starts, codes, distances))
+        return np.lexsort(keys)
 
     # -- warped retrieval --------------------------------------------------------
 
@@ -586,11 +638,11 @@ class SubsequenceMatcher:
         query_stream_id: str | None,
         threshold: float,
         max_matches: int | None,
-        restrict_patients: Iterable[str] | None,
-        exclude_streams: Iterable[str] | None,
+        excluded: set[str] | None,
+        allowed: set[str] | None,
         params: SimilarityParams,
         stats: dict | None,
-    ) -> list[Match]:
+    ) -> MatchSet:
         """Coarse-to-fine warped retrieval.
 
         For every admissible window length (``warped_length_range``), the
@@ -602,61 +654,39 @@ class SubsequenceMatcher:
         scores all of its windows vectorised; non-finite distances (no
         within-band, state-consistent alignment) are refined away.
 
-        Ordering is the canonical ``(distance, stream_id, start,
-        n_vertices)``; own-stream overlap uses the candidate's extent
-        since warped matches may differ in length from the query.
+        Groups of different window lengths come from different intern
+        tables, so the kept rows' stream codes are re-interned into one
+        table before the single canonical ``(distance, stream_id, start,
+        n_vertices)`` ranking.  Own-stream overlap uses the candidate's
+        extent since warped matches may differ in length from the query.
         """
         m = query.n_vertices
         if m < 2:
-            return []
+            return MatchSet.empty()
         q_states = np.asarray(query.segment_states, dtype=np.int8)
         q_amps = np.asarray(query.amplitudes, dtype=float)
         q_durs = np.asarray(query.durations, dtype=float)
-        excluded: set[str] | None = None
-        if exclude_streams is not None:
-            excluded = {str(s) for s in exclude_streams}
-            excluded.discard(str(query_stream_id))
-        allowed = None if restrict_patients is None else set(restrict_patients)
 
         n_generated = n_admissible = n_ranked = 0
-        results: list[Match] = []
+        interned: dict[str, int] = {}
+        names: list[str] = []
+        relations: list[SourceRelation | None] = []
+        parts: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = []
         for length in warped_length_range(m, params.warp_band):
             for states, cand in self._coarse_groups(q_states, length):
                 n_generated += cand.n_candidates
-                mask = np.ones(cand.n_candidates, dtype=bool)
-                if query_stream_id is not None:
-                    same_stream = cand.stream_ids == query_stream_id
-                    overlaps = (cand.starts < query.stop) & (
-                        cand.starts + length > query.start
-                    )
-                    mask &= ~(same_stream & overlaps)
-                if excluded:
-                    mask &= np.asarray(
-                        [sid not in excluded for sid in cand.stream_ids],
-                        dtype=bool,
-                    )
-                if allowed is not None:
-                    patient_of = self._patient_lookup(cand.stream_ids)
-                    mask &= np.asarray(
-                        [
-                            patient_of[str(sid)] in allowed
-                            for sid in cand.stream_ids
-                        ],
-                        dtype=bool,
-                    )
-                if not mask.any():
-                    continue
-                cand = cand.select(mask)
-                relations, weights, vanished = self._relations_and_weights(
-                    cand.stream_ids, query_stream_id, params
+                admitted = self._admit(
+                    cand,
+                    query,
+                    query_stream_id,
+                    length,
+                    excluded,
+                    allowed,
+                    params,
                 )
-                if vanished:
-                    live = np.asarray([r is not None for r in relations])
-                    if not live.any():
-                        continue
-                    cand = cand.select(live)
-                    weights = weights[live]
-                    relations = [r for r in relations if r is not None]
+                if admitted is None:
+                    continue
+                cand, weights, rel_of = admitted
                 n_admissible += cand.n_candidates
                 distances = batch_warped_distance(
                     q_states,
@@ -671,25 +701,52 @@ class SubsequenceMatcher:
                 keep = np.flatnonzero(
                     (distances <= threshold) & np.isfinite(distances)
                 )
+                if len(keep) == 0:
+                    continue
                 n_ranked += len(keep)
-                for i in keep.tolist():
-                    results.append(
-                        Match(
-                            stream_id=str(cand.stream_ids[i]),
-                            start=int(cand.starts[i]),
-                            n_vertices=length,
-                            distance=float(distances[i]),
-                            relation=relations[i],
-                        )
-                    )
+                codes = cand.codes[keep]
+                present = np.unique(codes)
+                to_global = np.empty(len(cand.names), dtype=np.intp)
+                for c in present.tolist():
+                    name = cand.names[c]
+                    g = interned.get(name)
+                    if g is None:
+                        g = interned[name] = len(names)
+                        names.append(name)
+                        relations.append(rel_of[c])
+                    to_global[c] = g
+                parts.append(
+                    (to_global[codes], cand.starts[keep], distances[keep], length)
+                )
         if stats is not None:
             stats["generated"] = n_generated
             stats["admissible"] = n_admissible
             stats["ranked"] = n_ranked
-        results.sort(key=match_sort_key)
-        if max_matches is not None:
-            del results[max_matches:]
-        return results
+        if not parts:
+            return MatchSet.empty()
+        name_array = np.asarray(names, dtype=object)
+        codes = np.concatenate([part[0] for part in parts])
+        starts = np.concatenate([part[1] for part in parts])
+        distances = np.concatenate([part[2] for part in parts])
+        lengths = np.repeat(
+            np.asarray([part[3] for part in parts], dtype=np.intp),
+            [len(part[0]) for part in parts],
+        )
+        order = self._rank(
+            distances,
+            _lexicographic(name_array)[codes],
+            starts,
+            max_matches,
+            lengths,
+        )
+        return MatchSet(
+            name_array,
+            codes[order],
+            starts[order],
+            lengths[order],
+            distances[order],
+            relations,
+        )
 
     def _coarse_groups(
         self, query_states: np.ndarray, n_vertices: int
@@ -708,37 +765,38 @@ class SubsequenceMatcher:
         signature equals the query's, and groups them by exact signature
         so the caller's per-group DP contract holds.  Deliberately a
         plain per-window loop — this is the no-index baseline the coarse
-        index path is ablated against.
+        index path is ablated against.  Streams are interned as they are
+        walked; every group shares the one intern table.
         """
         target = collapse_signature(query_states)
         n_segments = n_vertices - 1
-        grouped: dict[tuple[int, ...], list[tuple[str, int]]] = {}
-        by_stream: dict[str, object] = {}
+        grouped: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        scanned: list = []
         for record in self.database.iter_streams():
             series = record.series
             n = len(series)
             if n < n_vertices:
                 continue
+            code = len(scanned)
+            scanned.append(record)
             states = series.states
-            by_stream[record.stream_id] = series
             for start in range(n - n_vertices + 1):
                 window = tuple(
                     int(s) for s in states[start : start + n_segments]
                 )
                 if collapse_signature(window) != target:
                     continue
-                grouped.setdefault(window, []).append(
-                    (record.stream_id, start)
-                )
+                grouped.setdefault(window, []).append((code, start))
+        names = np.asarray([r.stream_id for r in scanned], dtype=object)
         groups: list[tuple[tuple[int, ...], CandidateSet]] = []
         for window, hits in grouped.items():
-            stream_ids = np.empty(len(hits), dtype=object)
+            codes = np.empty(len(hits), dtype=np.int32)
             starts = np.empty(len(hits), dtype=np.int64)
             amplitudes = np.empty((len(hits), n_segments), dtype=float)
             durations = np.empty((len(hits), n_segments), dtype=float)
-            for i, (sid, start) in enumerate(hits):
-                series = by_stream[sid]
-                stream_ids[i] = sid
+            for i, (code, start) in enumerate(hits):
+                series = scanned[code].series
+                codes[i] = code
                 starts[i] = start
                 amplitudes[i] = series.amplitudes[start : start + n_segments]
                 durations[i] = series.durations[start : start + n_segments]
@@ -746,10 +804,12 @@ class SubsequenceMatcher:
                 (
                     window,
                     CandidateSet(
-                        stream_ids=stream_ids,
+                        stream_ids=names[codes],
                         starts=starts,
                         amplitudes=amplitudes,
                         durations=durations,
+                        codes=codes,
+                        names=names,
                     ),
                 )
             )
@@ -765,7 +825,10 @@ class SubsequenceMatcher:
         return self._scan(query)
 
     def _scan(self, query: Subsequence) -> CandidateSet | None:
-        """Vectorised linear-scan candidate generation (no index)."""
+        """Vectorised linear-scan candidate generation (no index).
+
+        Interns one code per stream with windows, as the index does.
+        """
         m = query.n_vertices
         key = encode_signature(query.segment_states)
         records = list(self.database.iter_streams())
@@ -779,17 +842,17 @@ class SubsequenceMatcher:
         parts = [p for p in parts if p is not None]
         if not parts:
             return None
-        total = sum(len(p[1]) for p in parts)
-        stream_ids = np.empty(total, dtype=object)
-        offset = 0
-        for sid, starts, _, _ in parts:
-            stream_ids[offset : offset + len(starts)] = sid
-            offset += len(starts)
+        names = np.asarray([p[0] for p in parts], dtype=object)
+        codes = np.repeat(
+            np.arange(len(parts), dtype=np.int32), [len(p[1]) for p in parts]
+        )
         return CandidateSet(
-            stream_ids=stream_ids,
+            stream_ids=names[codes],
             starts=np.concatenate([p[1] for p in parts]),
             amplitudes=np.vstack([p[2] for p in parts]),
             durations=np.vstack([p[3] for p in parts]),
+            codes=codes,
+            names=names,
         )
 
     @staticmethod
@@ -820,92 +883,74 @@ class SubsequenceMatcher:
 
     # -- filters ------------------------------------------------------------------
 
-    @staticmethod
-    def _admissible(
+    def _admit(
+        self,
         candidates: CandidateSet,
         query: Subsequence,
         query_stream_id: str | None,
-    ) -> np.ndarray:
-        """Exclude same-stream windows overlapping the query window."""
-        if query_stream_id is None:
-            return np.ones(candidates.n_candidates, dtype=bool)
-        m = query.n_vertices
-        if candidates.codes is not None:
-            # Resolve the query stream once against the intern table and
-            # compare int codes instead of object-array strings.
-            hit = np.flatnonzero(candidates.names == query_stream_id)
-            if len(hit) == 0:
-                return np.ones(candidates.n_candidates, dtype=bool)
-            same_stream = candidates.codes == hit[0]
-        else:
-            same_stream = candidates.stream_ids == query_stream_id
-        overlaps = (candidates.starts < query.stop) & (
-            candidates.starts + m > query.start
-        )
-        return ~(same_stream & overlaps)
-
-    def _relations(
-        self, stream_ids: np.ndarray, query_stream_id: str | None
-    ) -> list[SourceRelation | None]:
-        """Provenance per candidate; ``None`` marks a vanished stream."""
-        if query_stream_id is None:
-            return [SourceRelation.OTHER_PATIENT] * len(stream_ids)
-        cache: dict[str, SourceRelation | None] = {}
-        relations = []
-        for sid in stream_ids:
-            if sid in cache:
-                relation = cache[sid]
-            else:
-                try:
-                    relation = self.database.relation(
-                        query_stream_id, str(sid)
-                    )
-                except KeyError:
-                    relation = None  # removed mid-retrieval
-                cache[sid] = relation
-            relations.append(relation)
-        return relations
-
-    def _relations_and_weights(
-        self,
-        stream_ids: np.ndarray,
-        query_stream_id: str | None,
+        n_vertices: int,
+        excluded: set[str] | None,
+        allowed: set[str] | None,
         params: SimilarityParams,
-    ) -> tuple[list[SourceRelation | None], np.ndarray, bool]:
-        """Provenance and source weight per candidate, one pass.
+    ) -> tuple[CandidateSet, np.ndarray, list[SourceRelation | None]] | None:
+        """The rankable candidates, their source weights and the
+        provenance per stream code; ``None`` when no candidate is left.
 
-        Candidates concentrate on a handful of streams, so both the
-        relation lookup and the weight policy are evaluated once per
-        stream (keyed by the id string — cheap C-level hashing) instead
-        of once per candidate.  A vanished stream (concurrent removal)
-        yields relation ``None`` and sets the returned flag.
+        Masks out same-stream windows overlapping the query window
+        (``n_vertices`` is the candidates' window length: warped groups
+        differ from the query's), excluded streams, and streams of
+        patients outside ``allowed``.  Stream-level tests run once per
+        interned name and expand to candidates by integer indexing.
         """
-        n = len(stream_ids)
-        if query_stream_id is None:
-            relation = SourceRelation.OTHER_PATIENT
-            weight = params.source_weight(relation)
-            return [relation] * n, np.full(n, float(weight)), False
-        cache: dict[str, tuple[SourceRelation | None, float]] = {}
-        relations: list[SourceRelation | None] = []
-        weights = np.empty(n)
-        vanished = False
-        for i, sid in enumerate(stream_ids):
-            entry = cache.get(sid)
-            if entry is None:
-                try:
-                    relation = self.database.relation(
-                        query_stream_id, str(sid)
-                    )
-                    entry = (relation, params.source_weight(relation))
-                except KeyError:
-                    entry = (None, 0.0)  # removed mid-retrieval
-                cache[sid] = entry
-            relation, weight = entry
-            if relation is None:
-                vanished = True
-            relations.append(relation)
-            weights[i] = weight
-        return relations, weights, vanished
+        names = candidates.names
+        codes = candidates.codes
+        mask = np.ones(candidates.n_candidates, dtype=bool)
+        if query_stream_id is not None:
+            hit = np.flatnonzero(names == query_stream_id)
+            if len(hit):
+                starts = candidates.starts
+                mask &= ~(
+                    (codes == hit[0])
+                    & (starts < query.stop)
+                    & (starts + n_vertices > query.start)
+                )
+        if excluded or allowed is not None:
+            listed = names.tolist()
+            name_ok = np.ones(len(listed), dtype=bool)
+            if excluded:
+                name_ok &= np.fromiter(
+                    (nm not in excluded for nm in listed), bool, len(listed)
+                )
+            if allowed is not None:
+                patient_of = self._patient_lookup(listed)
+                name_ok &= np.fromiter(
+                    (patient_of[str(nm)] in allowed for nm in listed),
+                    bool,
+                    len(listed),
+                )
+            mask &= name_ok[codes]
+        n_admissible = int(np.count_nonzero(mask))
+        if n_admissible == 0:
+            return None
+        if n_admissible < candidates.n_candidates:
+            candidates = candidates.select(mask)
+        codes = candidates.codes
+        rel_of, weight_of, vanished = self._relations_by_code(
+            codes, candidates.names, query_stream_id, params
+        )
+        if vanished:
+            # A stream vanished between index catch-up and ranking
+            # (concurrent removal).  Degrade gracefully: drop its
+            # candidates rather than fail the whole retrieval; the next
+            # lookup's epoch check purges the stale postings.
+            live = np.fromiter(
+                (r is not None for r in rel_of), bool, len(rel_of)
+            )[codes]
+            if not live.any():
+                return None
+            candidates = candidates.select(live)
+            codes = candidates.codes
+        return candidates, weight_of[codes], rel_of
 
     def _relations_by_code(
         self,
@@ -946,7 +991,7 @@ class SubsequenceMatcher:
             weight_of[c] = params.source_weight(relation)
         return rel_of, weight_of, vanished
 
-    def _patient_lookup(self, stream_ids: np.ndarray) -> dict[str, str | None]:
+    def _patient_lookup(self, stream_ids: Iterable) -> dict[str, str | None]:
         """Owning patient per stream; ``None`` marks a vanished stream."""
         lookup: dict[str, str | None] = {}
         for sid in set(str(s) for s in stream_ids):
@@ -955,3 +1000,14 @@ class SubsequenceMatcher:
             except KeyError:
                 lookup[sid] = None  # removed mid-retrieval: never allowed
         return lookup
+
+
+def _lexicographic(names: np.ndarray) -> np.ndarray:
+    """Each interned name's rank in lexicographic order.
+
+    Intern tables are insertion-ordered but the ranking contract ties on
+    the id *string*, so ranking keys map codes through these ranks.
+    """
+    ranks = np.empty(len(names), dtype=np.intp)
+    ranks[np.argsort(names)] = np.arange(len(names))
+    return ranks

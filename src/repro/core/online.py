@@ -32,7 +32,7 @@ import numpy as np
 from ..database.store import MotionDatabase
 from ..events import EventBus
 from ..obs.telemetry import default_telemetry
-from .matching import Match, SubsequenceMatcher
+from .matching import Match, MatchSet, SubsequenceMatcher
 from .model import Subsequence, Vertex
 from .prediction import PredictionPlan
 from .query import QueryConfig, generate_query
@@ -167,7 +167,7 @@ class OnlineAnalysisSession:
         )
         self.predictor = builder.build_predictor(db, self.matcher)
         self._query: Subsequence | None = None
-        self._matches: list[Match] = []
+        self._matches = MatchSet.empty()
         self._plan: PredictionPlan | None = None
         # Bit-exact copies of other shards' historical series, keyed by
         # stream id; populated through adopt_matches() when this session
@@ -308,7 +308,7 @@ class OnlineAnalysisSession:
                     params=self.config.similarity,
                 )
             else:
-                self._matches = []
+                self._matches = MatchSet.empty()
             if self._plan is not None:
                 # The match set (and the query anchor) just changed, so
                 # the packed buffers no longer describe it.
@@ -340,7 +340,7 @@ class OnlineAnalysisSession:
         session's lifetime (cross-shard matches only ever reference
         immutable historical streams).  Invalidates the cached plan.
         """
-        self._matches = list(matches)
+        self._matches = MatchSet.from_matches(matches)
         if foreign_series:
             self._foreign_series.update(foreign_series)
         if self._plan is not None:
@@ -381,7 +381,7 @@ class OnlineAnalysisSession:
             "now": self._now,
             "n_dropped": self.n_dropped,
             "n_stale": self.n_stale,
-            "matches": encode_value(self._matches),
+            "matches": encode_value(self.matches),
             "foreign": sorted(self._foreign_series),
         }
 
@@ -405,7 +405,9 @@ class OnlineAnalysisSession:
         self.n_stale = int(payload["n_stale"])
         if foreign_series:
             self._foreign_series.update(foreign_series)
-        self._matches = decode_value(payload["matches"])
+        self._matches = MatchSet.from_matches(
+            decode_value(payload["matches"])
+        )
         if len(self.ingestor.series) >= self.config.warmup_vertices:
             # The query refreshed at the last vertex commit and the
             # series has not changed since, so regeneration is exact.

@@ -47,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..database.store import MotionDatabase
-from .matching import Match, SubsequenceMatcher
+from .matching import Match, MatchSet, SubsequenceMatcher
 from .model import PLRSeries, Subsequence
 from .similarity import SimilarityParams
 
@@ -159,7 +159,8 @@ class PredictionPlan:
         "tail_upper",
         "removal_epoch",
         "_cols",
-        "_row_series",
+        "_series",
+        "_series_index",
     )
 
     def __init__(
@@ -170,11 +171,12 @@ class PredictionPlan:
         weights: np.ndarray,
         refs: np.ndarray,
         tail: np.ndarray,
-        row_series: list[PLRSeries],
+        series: list[PLRSeries],
+        series_index: np.ndarray,
         removal_epoch: int,
     ) -> None:
         self.anchor = anchor
-        self.n_matches = len(row_series)
+        self.n_matches = len(end_times)
         self.ndim = anchor.shape[0]
         self.end_times = end_times
         self.series_ends = series_ends
@@ -184,7 +186,15 @@ class PredictionPlan:
         self.tail_upper = tail[0, 1:]
         self.removal_epoch = removal_epoch
         self._cols = np.arange(self.n_matches)
-        self._row_series = row_series
+        self._series = series
+        self._series_index = series_index
+
+    def match_position_at(self, j: int, t: float) -> np.ndarray:
+        """Match ``j``'s stream position at absolute time ``t``.
+
+        The exact fallback for a horizon past the packed tail window.
+        """
+        return self._series[self._series_index[j]].position_at(t)
 
     # -- kernel -----------------------------------------------------------
 
@@ -220,8 +230,8 @@ class PredictionPlan:
         if overflow.any():
             for index in np.argwhere(overflow):
                 where = tuple(index)
-                futures[where] = self._row_series[index[-1]].position_at(
-                    float(t[where])
+                futures[where] = self.match_position_at(
+                    index[-1], float(t[where])
                 )
         return futures
 
@@ -307,7 +317,7 @@ class PredictionPlan:
 def build_prediction_plan(
     database: MotionDatabase,
     query: Subsequence,
-    matches: list[Match],
+    matches: MatchSet | list[Match],
     params: SimilarityParams,
     anchor: str = "last",
     distance_weighted: bool = False,
@@ -315,8 +325,12 @@ def build_prediction_plan(
 ) -> PredictionPlan:
     """Pack ``matches`` into a :class:`PredictionPlan`.
 
-    One pass groups the matches by stream so each stream's time/position
-    arrays are gathered vectorised (matches concentrate on few streams).
+    Reads the match set's columns (a ``list[Match]`` is converted once
+    with :meth:`MatchSet.from_matches`).  Weights are gathered per stream
+    code.  The matched streams' times and positions are concatenated
+    once, so every match's end time, reference vertex and tail window is
+    one gather at its stream's base offset, clamped to that stream's
+    last vertex.
 
     ``series_of`` optionally overrides how a match's stream id resolves
     to its :class:`PLRSeries` (default: ``database.stream(id).series``).
@@ -326,6 +340,7 @@ def build_prediction_plan(
     both read only the resolved series, a bit-exact copy yields a
     bit-exact plan.
     """
+    matches = MatchSet.from_matches(matches)
     if anchor == "last":
         anchor_position = query.last_vertex.position_array()
     else:
@@ -333,55 +348,41 @@ def build_prediction_plan(
     n = len(matches)
     ndim = anchor_position.shape[0]
     window = _PLAN_TAIL_COLUMNS + 1
-    end_times = np.empty(n)
-    series_ends = np.empty(n)
-    weights = np.empty(n)
-    refs = np.empty((n, ndim))
+    present, series_index = np.unique(matches.codes, return_inverse=True)
+    codes = present.tolist()
+    names = matches.names
+    if series_of is None:
+        series = [database.stream(names[c]).series for c in codes]
+    else:
+        series = [series_of(names[c]) for c in codes]
+    relations = matches.relations
+    weights = np.asarray(
+        [params.source_weight(relations[c]) for c in codes], dtype=float
+    )[series_index]
+    if distance_weighted:
+        weights = weights / (1.0 + matches.distances)
+    if series:
+        times = np.concatenate([s.times for s in series])
+        positions = np.concatenate([s.positions for s in series])
+    else:
+        times = np.empty(0)
+        positions = np.empty((0, ndim))
+    sizes = np.asarray([len(s.times) for s in series], dtype=np.intp)
+    bases = np.cumsum(sizes) - sizes
+    base = bases[series_index]
+    last = (base + sizes[series_index]) - 1
+    ends = base + matches.starts + matches.lengths - 1
+    end_times = times[ends]
+    series_ends = times[last]
+    if anchor == "last":
+        refs = positions[ends]
+    else:
+        refs = positions[base + matches.starts]
+    indices = ends + np.arange(window)[:, None]
+    clamped = np.minimum(indices, last)
     tail = np.empty((1 + ndim, window, n))
-    row_series: list[PLRSeries] = [None] * n  # type: ignore[list-item]
-    groups: dict[str, tuple[PLRSeries, list[int]]] = {}
-    weight_of: dict = {}
-    ends_all = np.empty(n, dtype=np.intp)
-    starts_all = np.empty(n, dtype=np.intp)
-    for j, match in enumerate(matches):
-        entry = groups.get(match.stream_id)
-        if entry is None:
-            if series_of is None:
-                series = database.stream(match.stream_id).series
-            else:
-                series = series_of(match.stream_id)
-            entry = (series, [])
-            groups[match.stream_id] = entry
-        entry[1].append(j)
-        row_series[j] = entry[0]
-        start = match.start
-        starts_all[j] = start
-        ends_all[j] = start + match.n_vertices - 1
-        weight = weight_of.get(match.relation)
-        if weight is None:
-            weight = params.source_weight(match.relation)
-            weight_of[match.relation] = weight
-        if distance_weighted:
-            weight = weight / (1.0 + match.distance)
-        weights[j] = weight
-    offsets = np.arange(window)
-    for series, group_rows in groups.values():
-        times = series.times
-        positions = series.positions
-        rows = np.asarray(group_rows, dtype=np.intp)
-        ends = ends_all[rows]
-        end_times[rows] = times[ends]
-        series_ends[rows] = times[-1]
-        if anchor == "last":
-            refs[rows] = positions[ends]
-        else:
-            refs[rows] = positions[starts_all[rows]]
-        indices = ends[:, None] + offsets
-        clamped = np.minimum(indices, len(times) - 1)
-        tail[0][:, rows] = np.where(
-            indices < len(times), times[clamped], np.inf
-        ).T
-        tail[1:][:, :, rows] = positions[clamped].T
+    tail[0] = np.where(indices <= last, times[clamped], np.inf)
+    tail[1:] = positions.T[:, clamped]
     return PredictionPlan(
         anchor=anchor_position,
         end_times=end_times,
@@ -389,7 +390,8 @@ def build_prediction_plan(
         weights=weights,
         refs=refs,
         tail=tail,
-        row_series=row_series,
+        series=series,
+        series_index=series_index,
         removal_epoch=database.removal_epoch,
     )
 
@@ -510,7 +512,7 @@ class OnlinePredictor:
     def build_plan(
         self,
         query: Subsequence,
-        matches: list[Match],
+        matches: MatchSet | list[Match],
         params: SimilarityParams | None = None,
         series_of=None,
     ) -> PredictionPlan:

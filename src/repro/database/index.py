@@ -155,12 +155,13 @@ class CandidateSet:
     amplitudes, durations:
         Feature matrices, shape ``(n_windows, n_segments)``.
     codes, names:
-        Optional interned representation from the signature index:
-        ``names[codes[i]] == stream_ids[i]``.  When present, consumers
-        can do per-stream work (provenance, filters, ranking keys) once
-        per unique stream and expand by integer fancy-indexing instead
-        of paying Python-level string work per candidate.  The linear
-        scan path leaves them ``None``.
+        Interned representation: ``names[codes[i]] == stream_ids[i]``.
+        Consumers do per-stream work (provenance, filters, ranking keys)
+        once per unique stream and expand by integer fancy-indexing
+        instead of paying Python-level string work per candidate.  Every
+        set the matcher ranks carries them (the index, both linear-scan
+        legs and the posting scans intern per stream); they default to
+        ``None`` only for sets built outside those paths.
     """
 
     stream_ids: np.ndarray

@@ -209,8 +209,9 @@ class _FleetDispatch:
         if overflow.any():
             for m in np.flatnonzero(overflow):
                 row = self.rows[m]
-                series = self.plans[row]._row_series[m - self.starts[row]]
-                futures[:, m] = series.position_at(float(t[m]))
+                futures[:, m] = self.plans[row].match_position_at(
+                    m - self.starts[row], float(t[m])
+                )
         np.subtract(futures, self.refs, out=futures)
         np.multiply(futures, self.weights, out=futures)
         terms[-1] = self.weights

@@ -31,12 +31,14 @@ the single-process path returns, by construction:
   JSON float ``repr`` — and the home session's prediction plan resolves
   it from a local cache.
 
-**Crash contract.**  A worker that dies mid-serve (EOF on its socket)
-raises :class:`WorkerCrashed`; the coordinator respawns the worker over
-the same shard directory (journal replay + snapshot recovery restore
-the historical state), drops the stale partial live streams, re-opens
-the shard's sessions and re-feeds their raw frames from the
-coordinator's frame log.  Segmentation is deterministic, so the
+**Crash contract.**  A worker that dies mid-serve (EOF on its socket),
+or whose reply frame is corrupt (:class:`WireCorrupt`: a length prefix
+over :data:`MAX_FRAME_BYTES`, or a body that is not a UTF-8 JSON
+object), raises :class:`WorkerCrashed`; the coordinator respawns the
+worker over the same shard directory (journal replay + snapshot
+recovery restore the historical state), drops the stale partial live
+streams, re-opens the shard's sessions and re-feeds their raw frames
+from the coordinator's frame log.  Segmentation is deterministic, so the
 recovered shard's series, matches and predictions are byte-identical
 to a run without the crash; survivors are untouched (re-sent frames
 are dropped by the sessions' stale-clock guard).  Scatter lookups are
@@ -85,6 +87,8 @@ __all__ = [
     "ShardCoordinator",
     "ShardRouter",
     "ShardWorker",
+    "MAX_FRAME_BYTES",
+    "WireCorrupt",
     "WireEOF",
     "WorkerCrashed",
     "partition_database",
@@ -112,6 +116,15 @@ class WireEOF(ConnectionError):
     """The peer closed its socket mid-protocol."""
 
 
+class WireCorrupt(WireEOF):
+    """A frame's length prefix or body is garbage.
+
+    A subclass of :class:`WireEOF`, so every handler of a dead peer —
+    crash, respawn, journal replay — handles a corrupt one too; the
+    stream cannot be resynchronised after a bad frame.
+    """
+
+
 class WorkerCrashed(RuntimeError):
     """A shard worker died mid-serve (socket EOF or broken pipe)."""
 
@@ -126,6 +139,14 @@ class WorkerCrashed(RuntimeError):
 # Python's json round-trips float repr bit-exactly and both ends are
 # Python, so JSON is as faithful as msgpack here without a dependency.
 
+#: Largest frame body a reader accepts.  The largest frame the sharded
+#: test suite sends (tests/test_sharding.py and tests/test_cli.py) is a
+#: 19,524-byte reply; perfbench's 48-tenant ``sharded-durable`` workload
+#: peaks at a 220,542-byte reply.  64 MiB is some 300 times the larger,
+#: while a garbled prefix (up to 4 GiB) is refused before any body byte
+#: is read.
+MAX_FRAME_BYTES = 64 * 1024 * 1024
+
 
 def _send_frame(sock: socket.socket, obj: dict) -> None:
     data = json.dumps(obj, separators=(",", ":")).encode("utf-8")
@@ -137,10 +158,23 @@ def _recv_frame(reader) -> dict:
     if len(header) < 4:
         raise WireEOF("peer closed the connection")
     (length,) = struct.unpack(">I", header)
+    if length > MAX_FRAME_BYTES:
+        raise WireCorrupt(
+            f"frame length {length} exceeds MAX_FRAME_BYTES "
+            f"({MAX_FRAME_BYTES})"
+        )
     data = reader.read(length)
     if len(data) < length:
         raise WireEOF("peer closed the connection mid-frame")
-    return json.loads(data.decode("utf-8"))
+    try:
+        frame = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise WireCorrupt(f"undecodable frame body: {exc}") from None
+    if not isinstance(frame, dict):
+        raise WireCorrupt(
+            f"frame body is a JSON {type(frame).__name__}, not an object"
+        )
+    return frame
 
 
 # -- consistent-hash router ----------------------------------------------------
@@ -1130,10 +1164,14 @@ class ShardCoordinator:
         """
         if self.telemetry is not None:
             self._c_crashes.inc()
-        try:
-            self._socks[shard].close()
-        except OSError:
-            pass
+        # The socket's descriptor stays open while its reader does, so
+        # close both: a live worker (one that sent a corrupt frame) then
+        # reads EOF and exits instead of waiting out the join timeout.
+        for stream in (self._readers[shard], self._socks[shard]):
+            try:
+                stream.close()
+            except OSError:
+                pass
         proc = self._procs[shard]
         proc.join(timeout=30)
         if proc.is_alive():

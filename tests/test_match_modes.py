@@ -158,6 +158,30 @@ def test_warped_engine_agrees_with_oracle_across_bands(seed, band):
         )
 
 
+@pytest.mark.parametrize("use_index", [True, False], ids=["index", "scan"])
+@pytest.mark.parametrize("mode", SWEEP_MODES)
+def test_max_matches_zero_is_empty_and_negative_is_rejected(mode, use_index):
+    """``max_matches=0`` keeps no match, as the oracle's ``scored[:0]``
+    does; a negative cap has no top-k meaning and raises, naming it."""
+    params = MODE_PARAMS[mode]
+    db = random_database(np.random.default_rng(0))
+    query = db.stream("P0/S0").series.subsequence(0, 4)
+    engine = SubsequenceMatcher(db, params, use_index=use_index)
+    assert engine.find_matches(query, "P0/S0", threshold=THRESHOLD)
+    oracle = reference_matches_for_mode(
+        db, query, "P0/S0", threshold=THRESHOLD, max_matches=0, params=params
+    )
+    assert oracle == []
+    assert (
+        engine.find_matches(query, "P0/S0", threshold=THRESHOLD, max_matches=0)
+        == oracle
+    )
+    with pytest.raises(ValueError, match="max_matches"):
+        engine.find_matches(
+            query, "P0/S0", threshold=THRESHOLD, max_matches=-1
+        )
+
+
 # -- metamorphic laws ----------------------------------------------------------
 
 

@@ -3,10 +3,17 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.matching import SubsequenceMatcher
+from repro.core.matching import (
+    Match,
+    MatchSet,
+    SubsequenceMatcher,
+    match_sort_key,
+)
 from repro.core.model import PLRSeries, Vertex
-from repro.core.similarity import SimilarityParams, SourceRelation
+from repro.core.similarity import MatchMode, SimilarityParams, SourceRelation
 from repro.database.store import MotionDatabase
 
 from conftest import EOE, EX, IN
@@ -225,3 +232,152 @@ class TestScanEquivalence:
         # Cross-patient candidates lose their penalty without weighting.
         key = next(k for k in d_default if k[0] == "PB/S00")
         assert d_unweighted[key] < d_default[key]
+
+
+# -- the columnar result -------------------------------------------------------
+
+MODES = {
+    "rigid": SimilarityParams(),
+    "normalized": SimilarityParams(mode=MatchMode.NORMALIZED),
+    "warped": SimilarityParams(mode=MatchMode.WARPED, warp_band=1),
+}
+
+
+@pytest.fixture(params=[True, False], ids=["index", "scan"])
+def use_index(request):
+    return request.param
+
+
+class TestMatchSet:
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_sequence_contract_agrees_with_materialised_list(
+        self, db, mode, use_index
+    ):
+        matcher = SubsequenceMatcher(db, MODES[mode], use_index=use_index)
+        query = db.stream("PA/S00").series.subsequence(0, 7)
+        matches = matcher.find_matches(query, "PA/S00", threshold=math.inf)
+        assert isinstance(matches, MatchSet)
+        listed = list(matches)
+        assert len(listed) >= 3
+        assert len(matches) == len(listed)
+        assert matches == listed and listed == matches
+        assert not (matches != listed) and not (listed != matches)
+        assert matches != listed[:-1] and listed[:-1] != matches
+        for i in range(len(listed)):
+            assert matches[i] is listed[i]
+            assert matches[-1 - i] is listed[-1 - i]
+        with pytest.raises(IndexError):
+            matches[len(listed)]
+        for cut in (slice(None, 2), slice(1, -1), slice(None, None, -2)):
+            assert matches[cut] == listed[cut]
+            assert isinstance(matches[cut], list)
+        assert [m for m in matches] == listed
+        assert listed[0] in matches
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_fields_have_the_historical_types(self, db, mode, use_index):
+        matcher = SubsequenceMatcher(db, MODES[mode], use_index=use_index)
+        query = db.stream("PA/S01").series.subsequence(0, 7)
+        matches = matcher.find_matches(query, "PA/S01", threshold=math.inf)
+        assert matches
+        for i, match in enumerate(matches):
+            assert type(match) is Match
+            assert type(match.stream_id) is str
+            assert type(match.start) is int
+            assert type(match.n_vertices) is int
+            assert type(match.distance) is float
+            assert type(match.relation) is SourceRelation
+            assert match.stream_id == matches.names[matches.codes[i]]
+            assert match.start == matches.starts[i]
+            assert match.n_vertices == matches.lengths[i]
+            assert match.distance == matches.distances[i]
+            assert match.relation is matches.relations[matches.codes[i]]
+
+    def test_empty_result_equals_empty_list(self, matcher):
+        series = PLRSeries()
+        for i, state in enumerate((EOE, EOE, EOE, EOE)):
+            series.append(Vertex(float(i), (0.0,), state))
+        empty = matcher.find_matches(
+            series.subsequence(0, 4), None, threshold=math.inf
+        )
+        assert isinstance(empty, MatchSet)
+        assert empty == [] and [] == empty
+        assert len(empty) == 0 and not empty
+        assert list(empty) == [] and empty[:] == []
+        assert MatchSet.empty() == []
+
+    def test_from_matches_keeps_its_items(self, db, matcher):
+        query = db.stream("PA/S00").series.subsequence(0, 7)
+        listed = list(
+            matcher.find_matches(query, "PA/S00", threshold=math.inf)
+        )
+        rebuilt = MatchSet.from_matches(listed)
+        assert rebuilt == listed
+        assert all(a is b for a, b in zip(rebuilt, listed))
+        assert MatchSet.from_matches(rebuilt) is rebuilt
+        for i, match in enumerate(listed):
+            code = rebuilt.codes[i]
+            assert rebuilt.names[code] == match.stream_id
+            assert rebuilt.relations[code] is match.relation
+            assert rebuilt.distances[i] == match.distance
+
+
+def _series_from_rows(rows, t0=0.0):
+    """A PLR whose segment ``i`` has state ``rows[i][0]``, amplitude
+    ``rows[i][1]`` and duration 1."""
+    series = PLRSeries()
+    t, position = t0, 0.0
+    for state, step in rows:
+        series.append(Vertex(t, (position,), state))
+        t += 1.0
+        position += -step if state is EX else step
+    series.append(Vertex(t, (position,), IN))
+    return series
+
+
+_rows = st.lists(
+    st.tuples(st.sampled_from([IN, EX, EOE]), st.sampled_from([1.0, 2.0])),
+    min_size=6,
+    max_size=12,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    base=_rows,
+    others=st.lists(_rows, min_size=1, max_size=2),
+    data=st.data(),
+)
+def test_warped_columnar_order_is_the_canonical_sort(base, others, data):
+    """The warped leg ranks its columns once; the order must equal
+    ``sorted(key=match_sort_key)`` over the same matches.
+
+    Ties are forced: an exact copy of the query's stream ties it at
+    every window across streams, and a copy with one segment of the
+    query window doubled ties it at the next window length (the banded
+    alignment pays nothing for the repeat).  Amplitudes drawn from two
+    values add many more ties.
+    """
+    n_vertices = data.draw(st.integers(min_value=3, max_value=5))
+    a = data.draw(st.integers(min_value=0, max_value=len(base) + 1 - n_vertices))
+    j = data.draw(st.integers(min_value=a, max_value=a + n_vertices - 2))
+    stretched = base[: j + 1] + base[j:]
+    database = MotionDatabase()
+    streams = {"PQ/S0": base, "PC/S0": base, "PS/S0": stretched}
+    streams.update({f"PR/S{k}": rows for k, rows in enumerate(others)})
+    for sid, rows in streams.items():
+        patient, session = sid.split("/")
+        if patient not in database.patient_ids:
+            database.add_patient(patient)
+        database.add_stream(patient, session, series=_series_from_rows(rows))
+    query = database.stream("PQ/S0").series.subsequence(a, a + n_vertices)
+    for use_index in (True, False):
+        matches = SubsequenceMatcher(
+            database, MODES["warped"], use_index=use_index
+        ).find_matches(query, None, threshold=1e12)
+        listed = list(matches)
+        assert listed == sorted(listed, key=match_sort_key)
+        tied = [m for m in listed if m.distance == 0.0]
+        assert {m.stream_id for m in tied} >= {"PQ/S0", "PC/S0", "PS/S0"}
+        assert {m.n_vertices for m in tied} >= {n_vertices, n_vertices + 1}
+

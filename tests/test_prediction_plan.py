@@ -7,6 +7,7 @@ asserts exact float equality (``np.array_equal``), not closeness.
 """
 
 import copy
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.matching import SubsequenceMatcher
+from repro.core.matching import MatchSet, SubsequenceMatcher
 from repro.core.model import BreathingState, PLRSeries, Vertex
 from repro.core.online import OnlineAnalysisSession, OnlineSessionConfig
 from repro.core.prediction import (
@@ -23,6 +24,7 @@ from repro.core.prediction import (
     horizon_grid,
 )
 from repro.database.store import MotionDatabase
+from repro.events import encode_value
 from repro.obs.telemetry import Telemetry
 from repro.service.manager import SessionManager, _FleetDispatch
 from repro.signals.respiratory import RespiratorySimulator, SessionConfig
@@ -178,6 +180,74 @@ class TestPlanEquivalence:
         with pytest.raises(ValueError):
             plan.combine_at(0.2)
 
+
+_PLAN_BUFFERS = (
+    "anchor",
+    "end_times",
+    "series_ends",
+    "weights",
+    "refs",
+    "tail",
+    "tail_upper",
+)
+
+
+class TestPlanFromMatchSet:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        ndim=st.integers(min_value=1, max_value=3),
+        anchor=st.sampled_from(["last", "first"]),
+        distance_weighted=st.booleans(),
+        n_streams=st.integers(min_value=1, max_value=5),
+    )
+    def test_columns_build_the_plan_of_the_listed_matches(
+        self, seed, ndim, anchor, distance_weighted, n_streams
+    ):
+        """A plan gathered from a match set's columns is, buffer for
+        buffer and bit for bit, the plan of the same matches as a list,
+        including every match's overflow fallback series."""
+        db, matcher, query, matches = random_setup(
+            seed, ndim=ndim, n_streams=n_streams
+        )
+        assert isinstance(matches, MatchSet)
+        plans = [
+            build_prediction_plan(
+                db,
+                query,
+                given_matches,
+                params=matcher.params,
+                anchor=anchor,
+                distance_weighted=distance_weighted,
+            )
+            for given_matches in (matches, list(matches))
+        ]
+        columnar, listed = plans
+        assert columnar.n_matches == listed.n_matches == len(matches)
+        for name in _PLAN_BUFFERS:
+            a, b = getattr(columnar, name), getattr(listed, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        last = max(
+            (db.stream(m.stream_id).series.end_time for m in matches),
+            default=0.0,
+        )
+        for j, match in enumerate(matches):
+            for t in (columnar.end_times[j] + 0.3, last + 1.0):
+                expected = db.stream(match.stream_id).series.position_at(t)
+                assert np.array_equal(columnar.match_position_at(j, t), expected)
+                assert np.array_equal(listed.match_position_at(j, t), expected)
+
+    def test_session_checkpoint_encodes_its_match_list(
+        self, telemetry_session
+    ):
+        session, raw, _ = telemetry_session
+        _warm_up(session, raw.iter_points())
+        payload = session.checkpoint()
+        assert payload["matches"] == encode_value(list(session.matches))
+        assert json.dumps(payload["matches"]) == json.dumps(
+            [encode_value(m) for m in session.matches]
+        )
 
 class TestFleetDispatch:
     class _FakeSession:

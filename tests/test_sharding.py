@@ -13,8 +13,11 @@ Worker counts come from the ``REPRO_TEST_WORKERS`` environment variable
 """
 
 import copy
+import io
+import json
 import os
 import signal
+import struct
 
 import numpy as np
 import pytest
@@ -32,6 +35,13 @@ from repro.service import (
     ShardCoordinator,
     ShardRouter,
     partition_database,
+)
+from repro.service.sharding import (
+    MAX_FRAME_BYTES,
+    WireCorrupt,
+    WireEOF,
+    _recv_frame,
+    _send_frame,
 )
 from repro.signals.respiratory import RespiratorySimulator, SessionConfig
 
@@ -169,6 +179,7 @@ def serve_sharded(
     kill=(),
     capture=None,
     failed_rpc_at=(),
+    garble_at=(),
 ):
     """Drive a sharded fleet through the full tick/predict loop.
 
@@ -178,7 +189,10 @@ def serve_sharded(
     before that tick; ``capture``, when a dict, receives the final
     per-shard frame-log lengths and worker-side stream digests;
     ``failed_rpc_at`` lists tick indices just before which one exchange
-    fails on every shard (an unknown op) and must raise.
+    fails on every shard (an unknown op) and must raise; ``garble_at``
+    lists ``(shard, tick, frame_bytes)`` triples: the coordinator reads
+    ``frame_bytes`` in place of that shard's reply at that tick (and
+    ``capture["garbled_workers"]`` receives the worker processes).
     """
     partition_database(db, root, n_workers)
     coordinator = ShardCoordinator(
@@ -202,6 +216,15 @@ def serve_sharded(
             for shard, at in kill:
                 if i == at:
                     os.kill(coordinator._procs[shard].pid, signal.SIGKILL)
+            for shard, at, frame_bytes in garble_at:
+                if i == at:
+                    coordinator._readers[shard] = _GarbledReader(
+                        coordinator._readers[shard], frame_bytes
+                    )
+                    if capture is not None:
+                        capture.setdefault("garbled_workers", []).append(
+                            coordinator._procs[shard]
+                        )
             if i in failed_rpc_at:
                 with pytest.raises(RuntimeError, match="shard 0 RPC failed"):
                     coordinator._exchange(
@@ -233,6 +256,23 @@ def serve_sharded(
     finally:
         coordinator.close()
     return predictions, matches, fleet, worker_snaps
+
+
+class _GarbledReader:
+    """Serves ``garbage`` first, then reads the real socket."""
+
+    def __init__(self, reader, garbage: bytes) -> None:
+        self._reader = reader
+        self._garbage = garbage
+
+    def read(self, n: int) -> bytes:
+        if self._garbage:
+            chunk, self._garbage = self._garbage[:n], self._garbage[n:]
+            return chunk
+        return self._reader.read(n)
+
+    def close(self) -> None:
+        self._reader.close()
 
 
 def assert_identical_predictions(a, b):
@@ -480,6 +520,89 @@ class TestFailedExchange:
         )
         assert_identical_predictions(p_solo, p_sharded)
         assert m_solo == m_sharded
+
+
+# -- wire frames ---------------------------------------------------------------
+
+
+class _CapturingSocket:
+    def __init__(self) -> None:
+        self.sent = b""
+
+    def sendall(self, data: bytes) -> None:
+        self.sent += data
+
+
+def _frame(body: bytes) -> bytes:
+    return struct.pack(">I", len(body)) + body
+
+
+class TestWireFrames:
+    def test_valid_frame_round_trips(self):
+        obj = {"op": "tick", "t": 0.1, "samples": {"PA/T00": [1.5, -2.25]}}
+        sock = _CapturingSocket()
+        _send_frame(sock, obj)
+        reader = io.BytesIO(sock.sent)
+        assert _recv_frame(reader) == obj
+        assert reader.read() == b""
+
+    def test_oversized_prefix_is_refused_after_the_header(self):
+        """Regression: a garbled prefix asked ``read`` for up to 4 GiB."""
+        reader = io.BytesIO(
+            struct.pack(">I", MAX_FRAME_BYTES + 1) + b"{}" * 64
+        )
+        with pytest.raises(WireCorrupt, match="MAX_FRAME_BYTES"):
+            _recv_frame(reader)
+        assert reader.tell() == 4
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"\xff\xfe\x00\x01", b'{"op": "tick"', b"[1, 2]"],
+        ids=["not-utf8", "not-json", "not-an-object"],
+    )
+    def test_garbled_body_is_corrupt(self, body):
+        """Regression: the decode errors escaped every except clause."""
+        with pytest.raises(WireCorrupt):
+            _recv_frame(io.BytesIO(_frame(body)))
+
+    def test_truncated_body_is_still_eof(self):
+        body = json.dumps({"op": "tick"}).encode("utf-8")
+        with pytest.raises(WireEOF) as raised:
+            _recv_frame(io.BytesIO(_frame(body)[:-3]))
+        assert not isinstance(raised.value, WireCorrupt)
+
+    @pytest.mark.parametrize(
+        "garbage",
+        [b"\xff\xff\xff\xff", _frame(b"\xff\xfe\xfd\xfc")],
+        ids=["oversized-prefix", "garbled-body"],
+    )
+    def test_corrupt_reply_recovers_byte_identically(self, tmp_path, garbage):
+        """A corrupt reply takes the crash path: respawn, journal replay
+        and frame-log re-feed, then serving stays byte-identical."""
+        db, raws = build_fleet()
+        builder = PipelineBuilder.from_session_config(OnlineSessionConfig())
+        p_solo, m_solo = serve_single_process(db, raws, builder)
+        shard = ShardRouter(N_WORKERS).shard_of(next(iter(raws))[0])
+        telemetry = Telemetry()
+        capture = {}
+        p_sharded, m_sharded, _, _ = serve_sharded(
+            db,
+            raws,
+            builder,
+            tmp_path,
+            telemetry=telemetry,
+            capture=capture,
+            garble_at=[(shard, _n_live_ticks(raws) // 2, garbage)],
+        )
+        merged = telemetry.snapshot().merged
+        assert merged.counter("router.recoveries") == 1
+        assert_identical_predictions(p_solo, p_sharded)
+        assert m_solo == m_sharded
+        # The corrupt peer was alive: recovery must close its reader so
+        # it reads EOF and exits by itself, rather than wait out the
+        # 30 s join and terminate it.
+        (peer,) = capture["garbled_workers"]
+        assert peer.exitcode not in (None, -signal.SIGTERM)
 
 
 # -- foreign-series pooling ----------------------------------------------------

@@ -11,11 +11,26 @@ use it outside the benchmark.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.database.index import CandidateSet
+__all__ = ["LegacyCandidates", "LegacyStateSignatureIndex", "legacy_scan"]
 
-__all__ = ["LegacyStateSignatureIndex", "legacy_scan"]
+
+@dataclass(frozen=True)
+class LegacyCandidates:
+    """The frozen engine's candidate set: one stream id per window, no
+    interning."""
+
+    stream_ids: np.ndarray
+    starts: np.ndarray
+    amplitudes: np.ndarray
+    durations: np.ndarray
+
+    @property
+    def n_candidates(self) -> int:
+        return len(self.starts)
 
 
 class _LegacyPostings:
@@ -27,7 +42,7 @@ class _LegacyPostings:
         self.starts: list[int] = []
         self.amp_rows: list[np.ndarray] = []
         self.dur_rows: list[np.ndarray] = []
-        self._stacked: CandidateSet | None = None
+        self._stacked: LegacyCandidates | None = None
 
     def append(
         self,
@@ -42,9 +57,9 @@ class _LegacyPostings:
         self.dur_rows.append(durations)
         self._stacked = None
 
-    def stacked(self) -> CandidateSet:
+    def stacked(self) -> LegacyCandidates:
         if self._stacked is None:
-            self._stacked = CandidateSet(
+            self._stacked = LegacyCandidates(
                 stream_ids=np.asarray(self.stream_ids, dtype=object),
                 starts=np.asarray(self.starts, dtype=int),
                 amplitudes=np.vstack(self.amp_rows),
@@ -96,7 +111,7 @@ class LegacyStateSignatureIndex:
         self.database = database
         self._by_length: dict[int, _LegacyLengthIndex] = {}
 
-    def candidates(self, signature) -> CandidateSet | None:
+    def candidates(self, signature) -> LegacyCandidates | None:
         n_vertices = len(signature) + 1
         length_index = self._by_length.get(n_vertices)
         if length_index is not None and any(
@@ -123,7 +138,7 @@ class LegacyStateSignatureIndex:
         return 0 if length_index is None else len(length_index.postings)
 
 
-def legacy_scan(database, query) -> CandidateSet | None:
+def legacy_scan(database, query) -> LegacyCandidates | None:
     """The pre-PR per-window linear scan over every stream."""
     signature = np.asarray(query.state_signature, dtype=np.int8)
     m = query.n_vertices
@@ -146,7 +161,7 @@ def legacy_scan(database, query) -> CandidateSet | None:
                 dur_rows.append(durations[s : s + m - 1])
     if not starts:
         return None
-    return CandidateSet(
+    return LegacyCandidates(
         stream_ids=np.asarray(stream_ids, dtype=object),
         starts=np.asarray(starts, dtype=int),
         amplitudes=np.vstack(amp_rows),

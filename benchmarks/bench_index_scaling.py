@@ -8,8 +8,7 @@ ingested live session and its dynamic query), then times
 * **cold query** — a fresh ``SubsequenceMatcher`` answering its first
   ``find_matches`` (build + retrieval + ranking),
 * **warm query** — steady-state retrieval on an already-built index,
-* **linear scan** — the paper-baseline access path, serial and with the
-  thread-pool fan-out,
+* **linear scan** — the paper-baseline access path,
 
 for both the current columnar engine and the frozen pre-PR implementation
 (``_legacy_index.py``), asserts the two return identical matches
@@ -24,8 +23,8 @@ Run from the repo root::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import os
 import platform
 import sys
 import time
@@ -40,7 +39,7 @@ from _legacy_index import LegacyStateSignatureIndex, legacy_scan
 from repro.analysis.experiments import CohortConfig, build_cohort
 from repro.core.matching import SubsequenceMatcher
 from repro.core.query import generate_query
-from repro.database.index import StateSignatureIndex
+from repro.database.index import CandidateSet, StateSignatureIndex
 from repro.database.ingest import StreamIngestor
 from repro.signals.respiratory import RespiratorySimulator, SessionConfig
 
@@ -108,7 +107,13 @@ class _InternedLegacyIndex(LegacyStateSignatureIndex):
         if found is None:
             return None
         names, codes = np.unique(found.stream_ids, return_inverse=True)
-        return dataclasses.replace(found, codes=codes, names=names)
+        return CandidateSet(
+            codes=codes,
+            names=names,
+            starts=found.starts,
+            amplitudes=found.amplitudes,
+            durations=found.durations,
+        )
 
 
 def legacy_matcher(db) -> SubsequenceMatcher:
@@ -116,6 +121,25 @@ def legacy_matcher(db) -> SubsequenceMatcher:
     matcher = SubsequenceMatcher(db, use_index=True)
     matcher._index = _InternedLegacyIndex(db)
     return matcher
+
+
+def host_record() -> dict:
+    """The host the timings were taken on."""
+    cpu_model = None
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    cpu_model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "cpu_model": cpu_model,
+        "cpu_count": os.cpu_count(),
+        "usable_cpus": len(os.sched_getaffinity(0)),
+        "numpy": np.__version__,
+    }
 
 
 def run(quick: bool) -> dict:
@@ -155,28 +179,22 @@ def run(quick: bool) -> dict:
         max(repeats * 5, 5), lambda: warm_old.find_matches(query, live_id)
     )
 
-    # -- linear scan (paper baseline): legacy loop vs vectorised vs pooled ---
+    # -- linear scan (paper baseline): legacy loop vs vectorised ------------
     t_scan_old, _ = best_of(repeats, lambda: legacy_scan(db, query))
     scan_serial = SubsequenceMatcher(db, use_index=False)
     t_scan_new, m_scan = best_of(
         repeats, lambda: scan_serial.find_matches(query, live_id)
     )
-    scan_pool = SubsequenceMatcher(db, use_index=False, scan_workers=4)
-    t_scan_pool, m_pool = best_of(
-        repeats, lambda: scan_pool.find_matches(query, live_id)
-    )
 
     # -- correctness: engines must agree exactly ------------------------------
-    identical = (
-        match_keys(m_new) == match_keys(m_old) == match_keys(m_scan)
-        == match_keys(m_pool)
-    )
+    identical = match_keys(m_new) == match_keys(m_old) == match_keys(m_scan)
     assert identical, "columnar engine diverged from the pre-PR engine"
 
     payload = {
         "benchmark": "bench_index_scaling",
         "mode": "quick" if quick else "full",
         "python": platform.python_version(),
+        "host": host_record(),
         "workload": {
             "n_patients": config.n_patients,
             "sessions_per_patient": config.sessions_per_patient,
@@ -196,7 +214,6 @@ def run(quick: bool) -> dict:
             "warm_query_legacy": t_warm_old * 1e3,
             "linear_scan_legacy": t_scan_old * 1e3,
             "linear_scan_vectorised": t_scan_new * 1e3,
-            "linear_scan_pool4": t_scan_pool * 1e3,
         },
         "speedups": {
             "index_build": t_build_old / t_build_new,

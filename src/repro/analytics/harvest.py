@@ -60,7 +60,10 @@ class SnapshotHarvest:
 
     With several scans (the per-shard layout) stream ids must be
     disjoint; groups with the same signature are merged across scans so
-    motif matching sees the whole fleet, not one shard at a time.
+    motif matching sees the whole fleet, not one shard at a time.  A
+    merged group's intern table is the scans' tables end to end, each
+    scan's codes offset past the tables before it, so every stream keeps
+    one code.
     """
 
     def __init__(self, scans: SnapshotScan | Iterable[SnapshotScan]):
@@ -113,7 +116,7 @@ class SnapshotHarvest:
 
     def _scan_groups(
         self, scan: SnapshotScan, n_vertices: int
-    ) -> Iterator[tuple[int | bytes, CandidateSet]]:
+    ) -> Iterator[tuple[int, CandidateSet]]:
         state = self._buffers_cover(scan, n_vertices)
         if state is not None:
             yield from buffer_posting_groups(state)
@@ -129,21 +132,21 @@ class SnapshotHarvest:
             for _, candidates in self._scan_groups(self.scans[0], n_vertices):
                 yield candidates
             return
-        by_key: dict[int | bytes, list[CandidateSet]] = {}
+        by_key: dict[int, list[CandidateSet]] = {}
         for scan in self.scans:
             for key, candidates in self._scan_groups(scan, n_vertices):
                 by_key.setdefault(key, []).append(candidates)
-        int_keys = sorted(k for k in by_key if not isinstance(k, bytes))
-        byte_keys = sorted(k for k in by_key if isinstance(k, bytes))
-        for key in (*int_keys, *byte_keys):
+        for key in sorted(by_key):
             parts = by_key[key]
             if len(parts) == 1:
                 yield parts[0]
                 continue
-            # Cross-shard merge: interned codes are per-scan, so the
-            # merged set drops them and carries expanded ids only.
+            offsets = np.cumsum([0] + [len(p.names) for p in parts[:-1]])
             yield CandidateSet(
-                stream_ids=np.concatenate([p.stream_ids for p in parts]),
+                codes=np.concatenate(
+                    [p.codes + offset for p, offset in zip(parts, offsets)]
+                ),
+                names=np.concatenate([p.names for p in parts]),
                 starts=np.concatenate([p.starts for p in parts]),
                 amplitudes=np.concatenate([p.amplitudes for p in parts]),
                 durations=np.concatenate([p.durations for p in parts]),

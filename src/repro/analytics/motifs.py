@@ -116,9 +116,10 @@ def _adjacency_inner(
         amplitudes = group.amplitudes
         durations = group.durations
         starts = group.starts
-        stream_ids = group.stream_ids
+        codes = group.codes
+        names = group.names
         window_keys = [
-            (str(stream_ids[i]), int(starts[i])) for i in range(k)
+            (str(names[c]), s) for c, s in zip(codes.tolist(), starts.tolist())
         ]
         for i in range(k):
             costs = w_a * np.abs(amplitudes - amplitudes[i]) + w_f * np.abs(
@@ -131,7 +132,7 @@ def _adjacency_inner(
                 distances = distances / weight_sum
             mask = distances <= threshold
             mask &= ~(
-                (stream_ids == stream_ids[i])
+                (codes == codes[i])
                 & (np.abs(starts - starts[i]) < exclusion_zone)
             )
             mask[i] = False

@@ -10,10 +10,8 @@ by the threshold ``delta``.
 Both access paths are vectorised: the index hands back columnar
 :class:`CandidateSet` slices keyed by the query's radix-encoded
 signature, and the linear scan extracts every stream's windows with
-``sliding_window_view`` and compares packed keys instead of looping per
-window.  The scan can additionally fan out across streams on a thread
-pool (``scan_workers``), since the per-stream work is numpy-dominated
-and releases the GIL.
+``sliding_window_view`` and compares their keys, one integer per window
+at every length, instead of looping per window.
 
 Every leg — rigid and normalized, warped, over the index or the scan —
 runs one sequence of stages: candidates, admissibility mask, provenance
@@ -44,7 +42,6 @@ has no usable future.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -295,7 +292,6 @@ class PartialTopK:
     """
 
     matches: tuple[Match, ...]
-    max_matches: int | None = None
 
     @staticmethod
     def merge(
@@ -323,10 +319,6 @@ class SubsequenceMatcher:
     use_index:
         Retrieve candidates through the state-signature index (default) or
         by scanning every window of every stream (ablation baseline).
-    scan_workers:
-        Thread-pool width for the linear scan.  ``None`` (default) scans
-        streams serially; ``n >= 1`` scans up to ``n`` streams
-        concurrently.  Only meaningful with ``use_index=False``.
     injector:
         Optional fault injector (chaos tests only), forwarded to the
         signature index so catch-up batches can be interrupted.
@@ -353,17 +345,13 @@ class SubsequenceMatcher:
         database: MotionDatabase,
         params: SimilarityParams | None = None,
         use_index: bool = True,
-        scan_workers: int | None = None,
         injector=None,
         index: StateSignatureIndex | None = None,
         telemetry=None,
     ) -> None:
-        if scan_workers is not None and scan_workers < 1:
-            raise ValueError("scan_workers must be None or >= 1")
         self.database = database
         self.params = params or SimilarityParams()
         self.use_index = use_index
-        self.scan_workers = scan_workers
         if not use_index:
             self._index = None
         elif index is not None:
@@ -504,7 +492,7 @@ class SubsequenceMatcher:
             exclude_streams=exclude_streams,
             params=params,
         )
-        return PartialTopK(matches=tuple(matches), max_matches=max_matches)
+        return PartialTopK(matches=tuple(matches))
 
     def _find(
         self,
@@ -804,12 +792,11 @@ class SubsequenceMatcher:
                 (
                     window,
                     CandidateSet(
-                        stream_ids=names[codes],
+                        codes=codes,
+                        names=names,
                         starts=starts,
                         amplitudes=amplitudes,
                         durations=durations,
-                        codes=codes,
-                        names=names,
                     ),
                 )
             )
@@ -831,14 +818,9 @@ class SubsequenceMatcher:
         """
         m = query.n_vertices
         key = encode_signature(query.segment_states)
-        records = list(self.database.iter_streams())
-        if self.scan_workers is not None and len(records) > 1:
-            with ThreadPoolExecutor(max_workers=self.scan_workers) as pool:
-                parts = list(
-                    pool.map(lambda r: self._scan_stream(r, key, m), records)
-                )
-        else:
-            parts = [self._scan_stream(r, key, m) for r in records]
+        parts = [
+            self._scan_stream(r, key, m) for r in self.database.iter_streams()
+        ]
         parts = [p for p in parts if p is not None]
         if not parts:
             return None
@@ -847,16 +829,15 @@ class SubsequenceMatcher:
             np.arange(len(parts), dtype=np.int32), [len(p[1]) for p in parts]
         )
         return CandidateSet(
-            stream_ids=names[codes],
+            codes=codes,
+            names=names,
             starts=np.concatenate([p[1] for p in parts]),
             amplitudes=np.vstack([p[2] for p in parts]),
             durations=np.vstack([p[3] for p in parts]),
-            codes=codes,
-            names=names,
         )
 
     @staticmethod
-    def _scan_stream(record, key: int | bytes, m: int):
+    def _scan_stream(record, key: int, m: int):
         """One stream's windows matching the encoded query signature."""
         series = record.series
         n = len(series)
@@ -868,13 +849,7 @@ class SubsequenceMatcher:
             empty = np.empty((n, 0), dtype=float)
             return record.stream_id, starts, empty, empty
         windows = sliding_window_view(series.states[: n - 1], n_segments)
-        keys = _window_keys(windows)
-        if isinstance(keys, list):  # byte keys (very long windows)
-            hits = np.flatnonzero(
-                np.fromiter((k == key for k in keys), bool, len(keys))
-            )
-        else:
-            hits = np.flatnonzero(keys == key)
+        hits = np.flatnonzero(_window_keys(windows) == key)
         if len(hits) == 0:
             return None
         amplitudes = sliding_window_view(series.amplitudes, n_segments)[hits]

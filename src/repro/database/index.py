@@ -12,15 +12,16 @@ The engine is **columnar and vectorised** end to end:
 * Window extraction uses ``numpy.lib.stride_tricks.sliding_window_view``
   — all windows of a length are materialised as strided views in one
   shot, never via a per-window Python loop.
-* Signatures are **radix-encoded** into packed ``int64`` keys
-  (base-``N_STATES`` positional encoding, the KV-match-style
-  order-preserving window code).  Windows longer than
-  ``MAX_RADIX_SEGMENTS`` segments fall back to raw-byte keys.
+* Signatures are **radix-encoded** into one integer key at every window
+  length (base-``N_STATES`` positional encoding, the KV-match-style
+  order-preserving window code).  Up to ``MAX_RADIX_SEGMENTS`` segments
+  the keys are computed as packed ``int64``; longer windows get the same
+  base-``N_STATES`` integer as a Python int, assembled from int64 chunks.
 * Posting lists are **growable contiguous arrays** with
   amortised-doubling capacity, so appends are O(1) amortised and
   ``stacked()`` is a zero-copy slice of the live buffers rather than a
-  re-``vstack``.  Stream ids are interned to small integer codes and
-  expanded only when a :class:`CandidateSet` is materialised.
+  re-``vstack``.  Stream ids are interned to small integer codes, and a
+  :class:`CandidateSet` hands out the codes with the intern table.
 
 The index remains **lazy and incremental**: windows of a given length are
 indexed the first time a query of that length arrives, and each lookup
@@ -56,8 +57,9 @@ __all__ = [
 #: Cardinality of the state alphabet (EX, EOE, IN, IRR).
 N_STATES = 4
 
-#: Longest signature (in segments) that fits a packed int64 radix key:
-#: ``4 ** 31 < 2 ** 63``.  Longer signatures use raw-byte keys.
+#: Longest signature (in segments) whose key fits an int64:
+#: ``4 ** 31 < 2 ** 63``.  Longer signatures get Python-int keys, built
+#: from int64 chunks of this many states.
 MAX_RADIX_SEGMENTS = 31
 
 
@@ -67,7 +69,8 @@ _SMALL_CATCH_UP = 8
 
 
 def _radix(n_segments: int) -> np.ndarray:
-    """Positional radix vector ``[1, b, b^2, ...]`` for key packing."""
+    """Positional radix vector ``[1, b, b^2, ...]`` for int64 key packing
+    (valid up to :data:`MAX_RADIX_SEGMENTS` segments)."""
     return N_STATES ** np.arange(n_segments, dtype=np.int64)
 
 
@@ -75,23 +78,22 @@ _radix_int_cache: dict[int, list[int]] = {}
 
 
 def _radix_ints(n_segments: int) -> list[int]:
-    """:func:`_radix` as cached Python ints (the scalar packing path)."""
+    """The radix vector as cached Python ints (the scalar packing path),
+    exact at every length."""
     radix = _radix_int_cache.get(n_segments)
     if radix is None:
         radix = _radix_int_cache[n_segments] = [
-            int(r) for r in _radix(n_segments)
+            N_STATES**i for i in range(n_segments)
         ]
     return radix
 
 
-def encode_signature(signature) -> int | bytes:
+def encode_signature(signature) -> int:
     """Pack a state signature into its index key.
 
-    Signatures of up to :data:`MAX_RADIX_SEGMENTS` segments become
-    base-:data:`N_STATES` packed integers (state ``i`` contributes
-    ``state * N_STATES ** i``); longer ones become the raw ``int8`` bytes.
-    The encoding is injective either way, so key equality is exactly
-    signature equality.
+    State ``i`` contributes ``state * N_STATES ** i``, at every length;
+    the encoding is injective within one length, so key equality is
+    exactly signature equality.
 
     Parameters
     ----------
@@ -99,15 +101,11 @@ def encode_signature(signature) -> int | bytes:
         Sequence of segment states (tuple, list or ndarray).
     """
     states = np.asarray(signature, dtype=np.int8)
-    if states.size <= MAX_RADIX_SEGMENTS:
-        return int(states.astype(np.int64) @ _radix(states.size))
-    return states.tobytes()
+    return int(_window_keys(states.reshape(1, -1))[0])
 
 
-def decode_signature(key: int | bytes, n_segments: int) -> tuple[int, ...]:
+def decode_signature(key: int, n_segments: int) -> tuple[int, ...]:
     """Invert :func:`encode_signature` back to the state tuple."""
-    if isinstance(key, bytes):
-        return tuple(int(s) for s in np.frombuffer(key, dtype=np.int8))
     states = []
     for _ in range(n_segments):
         states.append(int(key % N_STATES))
@@ -133,13 +131,25 @@ def collapse_signature(signature) -> tuple[int, ...]:
     return tuple(int(s) for s in states[keep])
 
 
-def _window_keys(windows: np.ndarray) -> np.ndarray | list[bytes]:
-    """Keys for a ``(n_windows, n_segments)`` matrix of segment states."""
+def _window_keys(windows: np.ndarray) -> np.ndarray:
+    """Keys for a ``(n_windows, n_segments)`` matrix of segment states.
+
+    An int64 array up to :data:`MAX_RADIX_SEGMENTS` segments.  Past that
+    the keys overflow int64, so they are Python ints in an object array:
+    each chunk of :data:`MAX_RADIX_SEGMENTS` states is packed as int64
+    and shifted left to its first state's weight (state ``i`` weighs
+    ``4 ** i == 2 ** (2 * i)``).  Both kinds sort and compare
+    elementwise alike.
+    """
     n_segments = windows.shape[1]
     if n_segments <= MAX_RADIX_SEGMENTS:
         return windows.astype(np.int64, copy=False) @ _radix(n_segments)
-    rows = np.ascontiguousarray(windows, dtype=np.int8)
-    return [row.tobytes() for row in rows]
+    keys = np.zeros(len(windows), dtype=object)
+    for lo in range(0, n_segments, MAX_RADIX_SEGMENTS):
+        chunk = windows[:, lo : lo + MAX_RADIX_SEGMENTS]
+        packed = chunk.astype(np.int64) @ _radix(chunk.shape[1])
+        keys += packed.astype(object) << (2 * lo)
+    return keys
 
 
 @dataclass(frozen=True)
@@ -148,43 +158,43 @@ class CandidateSet:
 
     Attributes
     ----------
-    stream_ids:
-        Owning stream per window (object array of str).
+    codes, names:
+        The owning stream of window ``i`` is ``names[codes[i]]``:
+        ``names`` is an intern table (object array of str, one entry per
+        stream) and ``codes`` indexes it per window.  Consumers do
+        per-stream work (provenance, filters, ranking keys) once per
+        unique stream and expand it by integer fancy-indexing instead of
+        paying Python-level string work per candidate.
     starts:
         Window start vertex per window.
     amplitudes, durations:
         Feature matrices, shape ``(n_windows, n_segments)``.
-    codes, names:
-        Interned representation: ``names[codes[i]] == stream_ids[i]``.
-        Consumers do per-stream work (provenance, filters, ranking keys)
-        once per unique stream and expand by integer fancy-indexing
-        instead of paying Python-level string work per candidate.  Every
-        set the matcher ranks carries them (the index, both linear-scan
-        legs and the posting scans intern per stream); they default to
-        ``None`` only for sets built outside those paths.
     """
 
-    stream_ids: np.ndarray
+    codes: np.ndarray
+    names: np.ndarray
     starts: np.ndarray
     amplitudes: np.ndarray
     durations: np.ndarray
-    codes: np.ndarray | None = None
-    names: np.ndarray | None = None
 
     @property
     def n_candidates(self) -> int:
         """Number of windows in the set."""
         return len(self.starts)
 
+    @property
+    def stream_ids(self) -> np.ndarray:
+        """Owning stream per window (object array of str)."""
+        return self.names[self.codes]
+
     def select(self, mask: np.ndarray) -> "CandidateSet":
         """The subset of windows where ``mask`` is true."""
         return CandidateSet(
-            stream_ids=self.stream_ids[mask],
+            codes=self.codes[mask],
+            names=self.names,
             starts=self.starts[mask],
             amplitudes=self.amplitudes[mask],
             durations=self.durations[mask],
-            codes=None if self.codes is None else self.codes[mask],
-            names=self.names,
         )
 
 
@@ -195,7 +205,7 @@ class _ColumnarPostings:
     appends cost O(n) amortised); ``stacked()`` slices the live prefix of
     each buffer — zero copies for the numeric columns.  Stream ids are
     stored as int32 codes into the owning :class:`_LengthIndex`'s intern
-    table and expanded to an object array only at materialisation.
+    table.
     """
 
     __slots__ = (
@@ -304,18 +314,16 @@ class _ColumnarPostings:
         """The posting list as a :class:`CandidateSet` (cached).
 
         ``stream_names`` is the owning length index's intern table as an
-        object array; numeric columns are zero-copy views of the live
-        buffer prefix.
+        object array; the columns are zero-copy views of the live buffer
+        prefix.
         """
         if self._stacked is None:
-            codes = self._stream_codes[: self.n]
             self._stacked = CandidateSet(
-                stream_ids=stream_names[codes],
+                codes=self._stream_codes[: self.n],
+                names=stream_names,
                 starts=self._starts[: self.n],
                 amplitudes=self._amplitudes[: self.n],
                 durations=self._durations[: self.n],
-                codes=codes,
-                names=stream_names,
             )
         return self._stacked
 
@@ -325,12 +333,12 @@ class _LengthIndex:
 
     def __init__(self, n_vertices: int) -> None:
         self.n_vertices = n_vertices
-        self.postings: dict[int | bytes, _ColumnarPostings] = {}
+        self.postings: dict[int, _ColumnarPostings] = {}
         #: Collapsed signature -> fine posting keys carrying it (the
         #: coarse granularity; see :func:`collapse_signature`).  Filled
         #: as postings are created, in both the live catch-up path and
         #: the snapshot restore path.
-        self.coarse: dict[tuple[int, ...], list[int | bytes]] = {}
+        self.coarse: dict[tuple[int, ...], list[int]] = {}
         self._next_start: dict[str, int] = {}
         self._stream_names: list[str] = []
         self._stream_codes: dict[str, int] = {}
@@ -366,17 +374,16 @@ class _LengthIndex:
         All streams' new regions are spliced into **one** concatenated
         buffer per column (with ``n_segments - 1`` sentinel slots between
         streams so no window straddles a boundary), all signatures are
-        radix-encoded by a single matmul over one ``sliding_window_view``,
-        the valid window rows are selected arithmetically (no scanning),
-        and one stable argsort groups them for one bulk ``extend`` per
-        distinct signature.  A naive per-stream loop pays numpy dispatch
+        radix-encoded at once over one ``sliding_window_view`` (one
+        matmul per 31 states, see :func:`_window_keys`), the valid window
+        rows are selected arithmetically (no scanning), and one stable
+        argsort groups them for one bulk ``extend`` per distinct
+        signature.  A naive per-stream loop pays numpy dispatch
         per (stream, signature) pair, which is what dominated build time
         at fleet scale.
         """
         m = self.n_vertices
         n_segments = m - 1
-        if n_segments > MAX_RADIX_SEGMENTS:
-            return self._catch_up_bytes(records, n_segments, injector)
         # (stream_id, series, first new window, last new window) per
         # stream with anything to index.
         pending = []
@@ -473,7 +480,7 @@ class _LengthIndex:
             dur_wins = sliding_window_view(
                 np.concatenate(dur_parts), n_segments
             )
-            keys = (windows.astype(np.int64) @ _radix(n_segments))[rows]
+            keys = _window_keys(windows)[rows]
         else:
             rows = ramp
             amp_wins = np.empty((total, 0), dtype=float)
@@ -495,40 +502,7 @@ class _LengthIndex:
             )
         return total
 
-    def _catch_up_bytes(self, records, n_segments: int, injector=None) -> int:
-        """Catch-up for windows too long for radix keys (byte keys)."""
-        m = self.n_vertices
-        n_added = 0
-        for record in records:
-            if injector is not None:
-                injector.fire("index.catch_up")
-            series = record.series
-            last = len(series) - m
-            start = self._next_start.get(record.stream_id, 0)
-            if last < start:
-                continue
-            region = slice(start, last + n_segments)
-            windows = sliding_window_view(series.states[region], n_segments)
-            amp = sliding_window_view(series.amplitudes[region], n_segments)
-            dur = sliding_window_view(series.durations[region], n_segments)
-            keys = _window_keys(windows)
-            starts = np.arange(start, last + 1, dtype=np.int64)
-            code = self._code(record.stream_id)
-            groups: dict[bytes, list[int]] = {}
-            for i, key in enumerate(keys):
-                groups.setdefault(key, []).append(i)
-            for key, group in groups.items():
-                self._posting(key, n_segments).extend(
-                    np.full(len(group), code, dtype=np.int32),
-                    starts[group],
-                    amp[group],
-                    dur[group],
-                )
-            self._next_start[record.stream_id] = last + 1
-            n_added += len(starts)
-        return n_added
-
-    def _posting(self, key: int | bytes, n_segments: int) -> _ColumnarPostings:
+    def _posting(self, key: int, n_segments: int) -> _ColumnarPostings:
         posting = self.postings.get(key)
         if posting is None:
             posting = _ColumnarPostings(n_segments)
@@ -654,9 +628,6 @@ class StateSignatureIndex:
         one entry share the entry's exact segment-state sequence, so the
         caller can evaluate its refinement (e.g. the banded-DTW kernel)
         vectorised per group.
-
-        Lengths beyond :data:`MAX_RADIX_SEGMENTS` segments use raw-byte
-        fine keys; the coarse map handles both key kinds transparently.
         """
         length_index = self._caught_up(n_vertices)
         telemetry = self._t
@@ -715,7 +686,7 @@ class StateSignatureIndex:
 
     def posting_groups(
         self, n_vertices: int
-    ) -> list[tuple[int | bytes, CandidateSet]]:
+    ) -> list[tuple[int, CandidateSet]]:
         """Every posting at one window length, in sorted-key order.
 
         This is the **bulk scan** access path: offline analytics (motif
@@ -728,19 +699,12 @@ class StateSignatureIndex:
         The length index is caught up first (same transactional contract
         as :meth:`candidates`), so the returned groups cover every window
         of every stream currently in the database.  Ordering is
-        deterministic: packed ``int64`` keys ascending, then raw-byte
-        keys (lengths beyond :data:`MAX_RADIX_SEGMENTS`) ascending.
+        deterministic: keys ascending.
         """
         length_index = self._caught_up(n_vertices)
         names = length_index.stream_names()
-        int_keys = sorted(
-            k for k in length_index.postings if not isinstance(k, bytes)
-        )
-        byte_keys = sorted(
-            k for k in length_index.postings if isinstance(k, bytes)
-        )
-        groups: list[tuple[int | bytes, CandidateSet]] = []
-        for key in (*int_keys, *byte_keys):
+        groups: list[tuple[int, CandidateSet]] = []
+        for key in sorted(length_index.postings):
             posting = length_index.postings[key]
             if posting.n:
                 groups.append((key, posting.stacked(names)))
@@ -763,9 +727,9 @@ class StateSignatureIndex:
         catch-up watermarks (JSON-safe) plus five arrays: the sorted
         posting keys, group offsets into the concatenated columns, and
         the stream-code/start/amplitude/duration columns themselves.
-        Lengths whose signatures exceed :data:`MAX_RADIX_SEGMENTS` use
-        raw-byte keys and are skipped — they rebuild lazily on first
-        lookup instead.
+        Lengths whose signatures exceed :data:`MAX_RADIX_SEGMENTS`
+        segments have keys past int64 and are skipped — they rebuild
+        lazily on first lookup instead.
         """
         payload: dict[int, dict[str, object]] = {}
         for n_vertices, length_index in self._by_length.items():
@@ -925,23 +889,21 @@ def buffer_posting_groups(
     durations = state["durations"]
     for g in np.argsort(keys, kind="stable"):
         b, e = int(offsets[g]), int(offsets[g + 1])
-        group_codes = np.asarray(codes[b:e])
         yield (
             int(keys[g]),
             CandidateSet(
-                stream_ids=names[group_codes],
+                codes=np.asarray(codes[b:e]),
+                names=names,
                 starts=np.asarray(starts[b:e]),
                 amplitudes=amplitudes[b:e],
                 durations=durations[b:e],
-                codes=group_codes,
-                names=names,
             ),
         )
 
 
 def series_posting_groups(
     streams: Iterable[tuple[str, "object"]], n_vertices: int
-) -> Iterator[tuple[int | bytes, CandidateSet]]:
+) -> Iterator[tuple[int, CandidateSet]]:
     """Groups recomputed directly from ``(stream_id, PLRSeries)`` pairs.
 
     The from-scratch counterpart of :func:`buffer_posting_groups` for
@@ -955,7 +917,7 @@ def series_posting_groups(
         raise ValueError("windows need at least 2 vertices")
     n_segments = m - 1
     stream_names: list[str] = []
-    by_key: dict[int | bytes, list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]] = {}
+    by_key: dict[int, list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]] = {}
     for stream_id, series in streams:
         last = len(series) - m
         if last < 0:
@@ -967,11 +929,8 @@ def series_posting_groups(
         amp = sliding_window_view(series.amplitudes[region], n_segments)
         dur = sliding_window_view(series.durations[region], n_segments)
         keys = _window_keys(windows)
-        if isinstance(keys, list):  # byte keys: group via stable sort
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-        else:
-            order = np.argsort(keys, kind="stable")
-        previous: int | bytes | None = None
+        order = np.argsort(keys, kind="stable")
+        previous: int | None = None
         block: list[int] = []
         for i in order:
             key = keys[i]
@@ -987,9 +946,7 @@ def series_posting_groups(
                 (code, np.asarray(block), amp, dur)
             )
     names = np.asarray(stream_names, dtype=object)
-    int_keys = sorted(k for k in by_key if not isinstance(k, bytes))
-    byte_keys = sorted(k for k in by_key if isinstance(k, bytes))
-    for key in (*int_keys, *byte_keys):
+    for key in sorted(by_key):
         parts = by_key[key]
         group_codes = np.concatenate(
             [np.full(len(rows), code, dtype=np.int32) for code, rows, _, _ in parts]
@@ -1000,7 +957,8 @@ def series_posting_groups(
         yield (
             key,
             CandidateSet(
-                stream_ids=names[group_codes],
+                codes=group_codes,
+                names=names,
                 starts=group_starts,
                 amplitudes=np.concatenate(
                     [amp[rows] for _, rows, amp, _ in parts]
@@ -1008,7 +966,5 @@ def series_posting_groups(
                 durations=np.concatenate(
                     [dur[rows] for _, rows, _, dur in parts]
                 ),
-                codes=group_codes,
-                names=names,
             ),
         )

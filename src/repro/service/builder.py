@@ -78,10 +78,11 @@ class PipelineBuilder:
 
     similarity / query / segmenter:
         The usual pipeline parameters (Table 1 defaults).
-    use_index / scan_workers:
+    use_index:
         Candidate-retrieval access path (signature index vs linear scan).
     min_matches / max_matches / anchor:
-        Predictor retrieval settings.
+        Predictor retrieval settings; a negative ``max_matches`` raises
+        :class:`ValueError`.
     fsa_factory:
         Zero-argument callable building a fresh finite state automaton
         per ingestor (Section 6 domains; ``None`` uses the respiratory
@@ -96,12 +97,17 @@ class PipelineBuilder:
     query: QueryConfig = field(default_factory=QueryConfig)
     segmenter: SegmenterConfig = field(default_factory=SegmenterConfig)
     use_index: bool = True
-    scan_workers: int | None = None
     min_matches: int = 2
     max_matches: int | None = None
     anchor: str = "last"
     fsa_factory: Callable[[], Any] | None = None
     metadata: Mapping[str, Any] | None = None
+
+    def __post_init__(self) -> None:
+        if self.max_matches is not None and self.max_matches < 0:
+            raise ValueError(
+                f"max_matches must be None or >= 0, got {self.max_matches}"
+            )
 
     # -- constructors from the existing config surfaces ------------------------
 
@@ -167,7 +173,6 @@ class PipelineBuilder:
             "query": query_config_to_payload(self.query),
             "segmenter": asdict(self.segmenter),
             "use_index": self.use_index,
-            "scan_workers": self.scan_workers,
             "min_matches": self.min_matches,
             "max_matches": self.max_matches,
             "anchor": self.anchor,
@@ -182,7 +187,6 @@ class PipelineBuilder:
             query=query_config_from_payload(payload["query"]),
             segmenter=SegmenterConfig(**payload["segmenter"]),
             use_index=payload["use_index"],
-            scan_workers=payload["scan_workers"],
             min_matches=payload["min_matches"],
             max_matches=payload["max_matches"],
             anchor=payload["anchor"],
@@ -199,7 +203,6 @@ class PipelineBuilder:
             database,
             self.similarity,
             use_index=self.use_index,
-            scan_workers=self.scan_workers,
             injector=injector,
             telemetry=telemetry,
         )

@@ -287,6 +287,83 @@ class TestSnapshotHarvest:
             )
 
 
+# -- windows past the int64 key width ------------------------------------------
+
+
+#: 33 segments: keys past int64, which snapshots never export.
+LONG = 34
+
+
+def _growing_series(cycles, step=4.0):
+    """Regular cycles whose peak grows by ``step`` per cycle: no two of
+    its long windows are within the default threshold of anything."""
+    series = PLRSeries()
+    for c in range(cycles):
+        t = 3.0 * c
+        series.append(Vertex(t, (0.0,), BreathingState.IN))
+        series.append(Vertex(t + 1.0, (10.0 + step * c,), BreathingState.EX))
+        series.append(Vertex(t + 2.0, (0.0,), BreathingState.EOE))
+    series.append(Vertex(3.0 * cycles, (0.0,), BreathingState.IN))
+    return series
+
+
+def _long_fleet_series(patient, k):
+    """Three regular streams, identical but for their start times
+    (motifs across patients), and one growing stream (anomalies)."""
+    if (patient, k) == (1, 1):
+        return _growing_series(14)
+    return make_series(cycles=14, start=0.05 * (2 * patient + k))
+
+
+class TestLongWindows:
+    def test_index_harvest_equals_oracle(self):
+        db = make_test_database()
+        for patient in range(2):
+            db.add_patient(f"P{patient}")
+            for k in range(2):
+                db.add_stream(
+                    f"P{patient}", f"S{k}", series=_long_fleet_series(patient, k)
+                )
+        motifs = fleet_motifs(db, LONG)
+        assert motifs and motifs == reference_motifs(db, LONG)
+        anomalies = list(fleet_anomalies(db, LONG).anomalies)
+        assert anomalies and anomalies == reference_anomalies(db, LONG)
+
+    def test_sharded_snapshot_harvest_equals_oracle(self, tmp_path):
+        """Two shards, each compacted with the long length indexed: the
+        length is not exported, so both scans recompute it from the
+        vertex columns, and the merged groups span the shards."""
+        mirror = MotionDatabase()
+        for shard in range(2):
+            db = MotionDatabase(
+                backend=LoggedBackend(shard_directory(tmp_path, shard))
+            )
+            pid = f"P{shard}"
+            db.add_patient(pid)
+            mirror.add_patient(pid)
+            for k in range(2):
+                series = _long_fleet_series(shard, k)
+                db.add_stream(pid, f"S{k}", series=series)
+                mirror.add_stream(pid, f"S{k}", series=series)
+            index = StateSignatureIndex(db)
+            list(index.posting_groups(LONG))
+            db.compact(index=index)
+            db.close()
+        harvest = SnapshotHarvest(
+            [open_snapshot_scan(shard_directory(tmp_path, s)) for s in range(2)]
+        )
+        assert all(harvest._buffers_cover(s, LONG) is None for s in harvest.scans)
+        motifs = discover_motifs(harvest, LONG)
+        assert motifs == reference_motifs(mirror, LONG)
+        assert any(
+            {sid.split("/")[0] for sid, _ in (m.key, *m.matches)} == {"P0", "P1"}
+            for m in motifs
+        )
+        report = score_anomalies(harvest, LONG)
+        assert report.anomalies
+        assert list(report.anomalies) == reference_anomalies(mirror, LONG)
+
+
 # -- the batch runner ----------------------------------------------------------
 
 

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.model import Vertex
 from repro.database.index import (
     MAX_RADIX_SEGMENTS,
+    N_STATES,
     StateSignatureIndex,
+    _window_keys,
     decode_signature,
     encode_signature,
 )
@@ -150,8 +153,31 @@ class TestSignatureEncoding:
     def test_round_trip_bytes_fallback(self):
         signature = tuple(i % 4 for i in range(MAX_RADIX_SEGMENTS + 5))
         key = encode_signature(signature)
-        assert isinstance(key, bytes)
+        assert isinstance(key, int)
         assert decode_signature(key, len(signature)) == signature
+
+    def test_one_integer_key_at_every_width(self):
+        """Across the int64 edge (30 to 33 segments) and far past it,
+        the key is the base-4 integer, decodes back, and the vectorised
+        window keys equal it row by row."""
+        rng = np.random.default_rng(15)
+        for n_segments in range(71):
+            states = rng.integers(0, N_STATES, n_segments + 24).astype(np.int8)
+            states[:n_segments] = N_STATES - 1  # the widest key
+            if n_segments:
+                windows = sliding_window_view(states, n_segments)
+            else:
+                windows = np.empty((len(states), 0), dtype=np.int8)
+            window_keys = _window_keys(windows)
+            for row, window_key in zip(windows, window_keys):
+                key = encode_signature(row)
+                assert key == sum(
+                    int(s) * N_STATES**i for i, s in enumerate(row)
+                )
+                assert decode_signature(key, n_segments) == tuple(
+                    int(s) for s in row
+                )
+                assert window_key == key
 
     def test_ndarray_and_tuple_agree(self):
         signature = (1, 2, 0, 2)
@@ -222,7 +248,8 @@ class TestIncrementality:
         assert all_candidates(index, long) == brute_force(db, long)
 
     def test_long_signature_bytes_path(self):
-        """Signatures beyond the radix range use byte keys end to end."""
+        """Signatures past the int64 key width are served end to end,
+        through the batch catch-up and then the few-window one."""
         db = MotionDatabase()
         db.add_patient("PA")
         db.add_stream("PA", "S00", series=make_series(cycles=14))
@@ -233,6 +260,13 @@ class TestIncrementality:
         got = all_candidates(index, signature)
         assert got == brute_force(db, signature)
         assert got  # the pattern repeats, so there are hits
+        t = series.end_time
+        series.append(Vertex(t + 1.0, (10.0,), EX))
+        series.append(Vertex(t + 2.0, (0.0,), EOE))
+        series.append(Vertex(t + 3.0, (0.0,), IN))
+        after = all_candidates(index, signature)
+        assert after == brute_force(db, signature)
+        assert len(after) > len(got)
 
 
 class TestBufferRoundTrip:

@@ -182,6 +182,81 @@ def test_max_matches_zero_is_empty_and_negative_is_rejected(mode, use_index):
         )
 
 
+# -- past the int64 key width --------------------------------------------------
+
+
+def cyclic_plr(rng, n_vertices, repeat_rate):
+    """A random PLR cycling IN, EX, EOE, each state repeating with
+    probability ``repeat_rate``.  At rate 0 every window starting on one
+    phase shares its signature, however long the window."""
+    series = PLRSeries()
+    t = 0.0
+    position = 0.0
+    order = [IN, EX, EOE]
+    cursor = int(rng.integers(0, 3))
+    for _ in range(n_vertices):
+        state = order[cursor % 3]
+        series.append(Vertex(t, (position,), state))
+        t += float(rng.uniform(0.4, 2.0))
+        if state is IN:
+            position += float(rng.uniform(3.0, 15.0))
+        elif state is EX:
+            position -= float(rng.uniform(3.0, 15.0))
+        else:
+            position += float(rng.uniform(-0.5, 0.5))
+        if rng.random() >= repeat_rate:
+            cursor += 1
+    return series
+
+
+#: Query vertices per mode.  Keys fit an int64 up to 31 segments (32
+#: vertices): rigid and normalized queries have 35 segments, and the
+#: warped query's band-1 lengths (31 to 33 vertices) cross the edge.
+LONG_QUERY = {"rigid": 36, "normalized": 36, "warped": 32}
+
+
+@pytest.mark.parametrize("seed", [0, 3, 4])
+@pytest.mark.parametrize("mode", SWEEP_MODES)
+def test_engine_agrees_with_oracle_past_the_int64_key_width(mode, seed):
+    """Indexed and linear-scan retrieval == the mode's naive reference
+    for windows whose keys are Python ints."""
+    params = MODE_PARAMS[mode]
+    rng = np.random.default_rng(seed)
+    db = make_test_database()
+    repeat_rate = 0.05 if mode == "warped" else 0.0
+    for p in range(2):
+        db.add_patient(f"P{p}")
+        for s in range(2):
+            db.add_stream(
+                f"P{p}", f"S{s}", series=cyclic_plr(rng, 80, repeat_rate)
+            )
+    series = db.stream("P0/S0").series
+    length = LONG_QUERY[mode]
+    start = int(rng.integers(0, len(series) - length))
+    query = series.subsequence(start, start + length)
+    oracle = reference_matches_for_mode(
+        db, query, "P0/S0", threshold=BIG, params=params
+    )
+    lengths = {m.n_vertices for m in oracle}
+    if mode == "warped":
+        assert 33 in lengths and min(lengths) <= 32
+    else:
+        assert lengths == {length}
+    oracle_k = reference_matches_for_mode(
+        db, query, "P0/S0", threshold=BIG, max_matches=5, params=params
+    )
+    for use_index in (True, False):
+        engine = SubsequenceMatcher(db, params, use_index=use_index)
+        check_equivalence(
+            engine.find_matches(query, "P0/S0", threshold=BIG), oracle
+        )
+        check_equivalence(
+            engine.find_matches(query, "P0/S0", threshold=BIG, max_matches=5),
+            oracle_k,
+            max_matches=5,
+        )
+
+
 # -- metamorphic laws ----------------------------------------------------------
 
 

@@ -189,22 +189,6 @@ class TestTopK:
             ]
 
 
-class TestParallelScan:
-    def test_pool_matches_serial(self, db):
-        query = db.stream("PA/S00").series.subsequence(0, 7)
-        serial = SubsequenceMatcher(db, use_index=False)
-        pooled = SubsequenceMatcher(db, use_index=False, scan_workers=3)
-        a = serial.find_matches(query, "PA/S00", threshold=math.inf)
-        b = pooled.find_matches(query, "PA/S00", threshold=math.inf)
-        assert [(m.stream_id, m.start, m.distance) for m in a] == [
-            (m.stream_id, m.start, m.distance) for m in b
-        ]
-
-    def test_invalid_workers_rejected(self, db):
-        with pytest.raises(ValueError):
-            SubsequenceMatcher(db, use_index=False, scan_workers=0)
-
-
 class TestScanEquivalence:
     def test_index_equals_scan(self, db):
         indexed = SubsequenceMatcher(db, use_index=True)

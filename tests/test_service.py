@@ -83,6 +83,16 @@ class TestPipelineBuilder:
         query = PipelineBuilder().make_query(regular_series)
         assert query is not None and query.n_vertices >= 4
 
+    def test_negative_max_matches_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="max_matches"):
+            PipelineBuilder(max_matches=-1)
+
+    def test_negative_max_matches_rejected_from_payload(self):
+        payload = PipelineBuilder().to_payload()
+        payload["max_matches"] = -1
+        with pytest.raises(ValueError, match="max_matches"):
+            PipelineBuilder.from_payload(payload)
+
     def test_from_domain_stamps_metadata(self):
         from repro.signals.domains import robot_arm_spec
 
@@ -334,6 +344,14 @@ class TestSessionManager:
         b = manager.open_session("PB")
         assert a.matcher is manager.matcher
         assert b.matcher is manager.matcher
+
+    def test_negative_max_matches_rejected_before_any_sample(self):
+        manager = SessionManager()
+        with pytest.raises(ValueError, match="max_matches"):
+            manager.open_session(
+                "PA", config=OnlineSessionConfig(max_matches=-1)
+            )
+        assert manager.n_sessions == 0
 
     def test_default_config_mirrors_builder(self):
         builder = PipelineBuilder(min_matches=3, max_matches=11)

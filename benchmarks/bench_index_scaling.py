@@ -15,6 +15,12 @@ for both the current columnar engine and the frozen pre-PR implementation
 (same streams, starts and distances), and writes the machine-readable
 trajectory to ``BENCH_index.json`` at the repo root.
 
+A last leg, **index restore**, times what a reopened snapshot pays: every
+built length is exported, its buffers round-trip through ``np.save`` and
+a memory-mapped ``np.load`` (as ``LoggedBackend.compact`` and reopen do),
+and a fresh index's ``restore_buffers`` plus its first lookup are timed;
+the restored index must answer every key with the original's candidates.
+
 Run from the repo root::
 
     PYTHONPATH=src python benchmarks/bench_index_scaling.py [--quick]
@@ -27,6 +33,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -142,6 +149,77 @@ def host_record() -> dict:
     }
 
 
+#: Window lengths the restore leg builds and exports (the cohort's
+#: dynamic queries fall in this range).
+RESTORE_LENGTHS = range(3, 13)
+
+
+def candidate_rows(candidates) -> list:
+    """A candidate set as sorted ``(stream, start, features)`` rows."""
+    return sorted(
+        (
+            str(candidates.names[code]),
+            int(start),
+            amplitudes.tobytes(),
+            durations.tobytes(),
+        )
+        for code, start, amplitudes, durations in zip(
+            candidates.codes,
+            candidates.starts,
+            candidates.amplitudes,
+            candidates.durations,
+        )
+    )
+
+
+def restore_leg(db, signature, repeats: int) -> dict:
+    """Export, mmap round trip, then time restore + first lookup."""
+    original = StateSignatureIndex(db)
+    for n_vertices in RESTORE_LENGTHS:
+        original.posting_groups(n_vertices)
+    exported = original.export_buffers()
+    with tempfile.TemporaryDirectory(prefix="bench-index-") as directory:
+        loaded = {}
+        for n_vertices, state in exported.items():
+            entry = {
+                "stream_names": state["stream_names"],
+                "next_start": state["next_start"],
+            }
+            for field, value in state.items():
+                if isinstance(value, np.ndarray):
+                    path = Path(directory) / f"idx-{n_vertices}-{field}.npy"
+                    np.save(path, value)
+                    entry[field] = np.load(path, mmap_mode="r")
+            loaded[n_vertices] = entry
+
+        def restore_and_lookup():
+            index = StateSignatureIndex(db)
+            index.restore_buffers(loaded)
+            index.candidates(signature)
+            return index
+
+        t_restore, restored = best_of(repeats, restore_and_lookup)
+        n_keys = 0
+        for n_vertices in RESTORE_LENGTHS:
+            theirs = dict(restored.posting_groups(n_vertices))
+            ours = original.posting_groups(n_vertices)
+            assert list(theirs) == [key for key, _ in ours]
+            for key, candidates in ours:
+                assert candidate_rows(theirs[key]) == candidate_rows(
+                    candidates
+                ), (n_vertices, key)
+                n_keys += 1
+        assert restored.n_windows(len(signature) + 1) == original.n_windows(
+            len(signature) + 1
+        )
+    return {
+        "lengths": len(exported),
+        "postings": n_keys,
+        "windows": sum(len(state["starts"]) for state in exported.values()),
+        "restore_ms": t_restore * 1e3,
+    }
+
+
 def run(quick: bool) -> dict:
     config = QUICK_COHORT if quick else FULL_COHORT
     repeats = 1 if quick else 3
@@ -190,6 +268,9 @@ def run(quick: bool) -> dict:
     identical = match_keys(m_new) == match_keys(m_old) == match_keys(m_scan)
     assert identical, "columnar engine diverged from the pre-PR engine"
 
+    # -- index restore (export -> mmap -> restore + first lookup) -------------
+    restore = restore_leg(db, signature, repeats)
+
     payload = {
         "benchmark": "bench_index_scaling",
         "mode": "quick" if quick else "full",
@@ -215,6 +296,8 @@ def run(quick: bool) -> dict:
             "linear_scan_legacy": t_scan_old * 1e3,
             "linear_scan_vectorised": t_scan_new * 1e3,
         },
+        "index_restore_ms": restore.pop("restore_ms"),
+        "restore": restore,
         "speedups": {
             "index_build": t_build_old / t_build_new,
             "cold_query": t_cold_old / t_cold_new,
@@ -254,6 +337,10 @@ def main(argv: list[str] | None = None) -> int:
         new = timings.get(f"{name}_new", timings.get("linear_scan_vectorised"))
         print(f"{name:>12}: {old:9.2f} ms -> {new:8.2f} ms   "
               f"({speedups[name]:.1f}x)")
+    restore = payload["restore"]
+    print(f"index restore: {restore['lengths']} lengths, "
+          f"{restore['postings']} postings, {restore['windows']} windows "
+          f"in {payload['index_restore_ms']:.2f} ms (identical candidates)")
     print(f"identical matches: {payload['identical_matches']}")
     print(f"wrote {args.output}")
 

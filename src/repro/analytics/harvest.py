@@ -14,8 +14,12 @@ the per-stream vertex counts that define the window universe.  A
   :class:`~repro.database.backend.SnapshotScan` handles (a solo
   directory, or every ``shard-*`` directory of a sharded root).  When
   the snapshot's mmap'd ``idx-*`` posting buffers fully cover the
-  requested length they are served zero-copy; otherwise groups are
-  recomputed from the mmap'd vertex columns.
+  requested length they are adopted as a
+  :class:`~repro.database.index.LengthIndex` and served zero-copy;
+  otherwise one is built from the mmap'd vertex columns.  Either way the
+  groups come from :meth:`LengthIndex.posting_groups
+  <repro.database.index.LengthIndex.posting_groups>`, the live index's
+  own bulk path.
 """
 
 from __future__ import annotations
@@ -25,12 +29,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ..database.backend import SnapshotScan
-from ..database.index import (
-    CandidateSet,
-    StateSignatureIndex,
-    buffer_posting_groups,
-    series_posting_groups,
-)
+from ..database.index import CandidateSet, LengthIndex, StateSignatureIndex
 
 __all__ = ["IndexHarvest", "SnapshotHarvest"]
 
@@ -116,15 +115,13 @@ class SnapshotHarvest:
 
     def _scan_groups(
         self, scan: SnapshotScan, n_vertices: int
-    ) -> Iterator[tuple[int, CandidateSet]]:
+    ) -> list[tuple[int, CandidateSet]]:
         state = self._buffers_cover(scan, n_vertices)
         if state is not None:
-            yield from buffer_posting_groups(state)
-            return
-        yield from series_posting_groups(
-            ((r.stream_id, r.series) for r in scan.iter_streams()),
-            n_vertices,
-        )
+            length_index = LengthIndex.restore(n_vertices, state)
+        else:
+            length_index = LengthIndex.scan(scan.iter_streams(), n_vertices)
+        return length_index.posting_groups()
 
     def groups(self, n_vertices: int) -> Iterator[CandidateSet]:
         """Fleet-wide same-signature groups, merged across scans."""

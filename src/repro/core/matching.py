@@ -7,11 +7,11 @@ paper's future-work extension, default) or by a linear scan (the paper's
 baseline access path), then ranked by the weighted distance and filtered
 by the threshold ``delta``.
 
-Both access paths are vectorised: the index hands back columnar
-:class:`CandidateSet` slices keyed by the query's radix-encoded
-signature, and the linear scan extracts every stream's windows with
-``sliding_window_view`` and compares their keys, one integer per window
-at every length, instead of looping per window.
+Both access paths serve the same retrieval interface: the index hands
+back columnar :class:`CandidateSet` slices of its key-sorted postings,
+and the linear scan builds a throwaway
+:class:`~repro.database.index.LengthIndex` from every stream's windows
+(one vectorised pass over strided views) for each lookup.
 
 Every leg — rigid and normalized, warped, over the index or the scan —
 runs one sequence of stages: candidates, admissibility mask, provenance
@@ -46,15 +46,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from ..database.index import (
-    CandidateSet,
-    StateSignatureIndex,
-    _window_keys,
-    collapse_signature,
-    encode_signature,
-)
+from ..database.index import CandidateSet, LengthIndex, StateSignatureIndex
 from ..database.store import MotionDatabase
 from .model import Subsequence
 from .query import warped_length_range
@@ -742,119 +735,23 @@ class SubsequenceMatcher:
         """Fine-signature groups collapse-matching the query, per leg."""
         if self._index is not None:
             return self._index.coarse_groups(query_states, n_vertices)
-        return self._scan_coarse(query_states, n_vertices)
-
-    def _scan_coarse(
-        self, query_states: np.ndarray, n_vertices: int
-    ) -> list[tuple[tuple[int, ...], CandidateSet]]:
-        """Linear-scan coarse candidate generation (the ablation baseline).
-
-        Walks every window of every stream, keeps those whose collapsed
-        signature equals the query's, and groups them by exact signature
-        so the caller's per-group DP contract holds.  Deliberately a
-        plain per-window loop — this is the no-index baseline the coarse
-        index path is ablated against.  Streams are interned as they are
-        walked; every group shares the one intern table.
-        """
-        target = collapse_signature(query_states)
-        n_segments = n_vertices - 1
-        grouped: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        scanned: list = []
-        for record in self.database.iter_streams():
-            series = record.series
-            n = len(series)
-            if n < n_vertices:
-                continue
-            code = len(scanned)
-            scanned.append(record)
-            states = series.states
-            for start in range(n - n_vertices + 1):
-                window = tuple(
-                    int(s) for s in states[start : start + n_segments]
-                )
-                if collapse_signature(window) != target:
-                    continue
-                grouped.setdefault(window, []).append((code, start))
-        names = np.asarray([r.stream_id for r in scanned], dtype=object)
-        groups: list[tuple[tuple[int, ...], CandidateSet]] = []
-        for window, hits in grouped.items():
-            codes = np.empty(len(hits), dtype=np.int32)
-            starts = np.empty(len(hits), dtype=np.int64)
-            amplitudes = np.empty((len(hits), n_segments), dtype=float)
-            durations = np.empty((len(hits), n_segments), dtype=float)
-            for i, (code, start) in enumerate(hits):
-                series = scanned[code].series
-                codes[i] = code
-                starts[i] = start
-                amplitudes[i] = series.amplitudes[start : start + n_segments]
-                durations[i] = series.durations[start : start + n_segments]
-            groups.append(
-                (
-                    window,
-                    CandidateSet(
-                        codes=codes,
-                        names=names,
-                        starts=starts,
-                        amplitudes=amplitudes,
-                        durations=durations,
-                    ),
-                )
-            )
-        return groups
+        return self._scan_index(n_vertices).coarse_groups(query_states)
 
     # -- candidate generation --------------------------------------------------
 
     def _candidates(self, query: Subsequence) -> CandidateSet | None:
+        # The int8 segment-state array goes straight to the index, which
+        # radix-encodes it without building a tuple.
         if self._index is not None:
-            # Fast path: hand the int8 segment-state array straight to the
-            # index, which radix-encodes it without building a tuple.
             return self._index.candidates(query.segment_states)
-        return self._scan(query)
-
-    def _scan(self, query: Subsequence) -> CandidateSet | None:
-        """Vectorised linear-scan candidate generation (no index).
-
-        Interns one code per stream with windows, as the index does.
-        """
-        m = query.n_vertices
-        key = encode_signature(query.segment_states)
-        parts = [
-            self._scan_stream(r, key, m) for r in self.database.iter_streams()
-        ]
-        parts = [p for p in parts if p is not None]
-        if not parts:
-            return None
-        names = np.asarray([p[0] for p in parts], dtype=object)
-        codes = np.repeat(
-            np.arange(len(parts), dtype=np.int32), [len(p[1]) for p in parts]
-        )
-        return CandidateSet(
-            codes=codes,
-            names=names,
-            starts=np.concatenate([p[1] for p in parts]),
-            amplitudes=np.vstack([p[2] for p in parts]),
-            durations=np.vstack([p[3] for p in parts]),
+        return self._scan_index(query.n_vertices).candidates(
+            query.segment_states
         )
 
-    @staticmethod
-    def _scan_stream(record, key: int, m: int):
-        """One stream's windows matching the encoded query signature."""
-        series = record.series
-        n = len(series)
-        if n < m:
-            return None
-        n_segments = m - 1
-        if n_segments == 0:
-            starts = np.arange(n, dtype=np.int64)
-            empty = np.empty((n, 0), dtype=float)
-            return record.stream_id, starts, empty, empty
-        windows = sliding_window_view(series.states[: n - 1], n_segments)
-        hits = np.flatnonzero(_window_keys(windows) == key)
-        if len(hits) == 0:
-            return None
-        amplitudes = sliding_window_view(series.amplitudes, n_segments)[hits]
-        durations = sliding_window_view(series.durations, n_segments)[hits]
-        return record.stream_id, hits.astype(np.int64), amplitudes, durations
+    def _scan_index(self, n_vertices: int) -> LengthIndex:
+        """The linear-scan leg (no index): a throwaway length index over
+        every stream's windows, built for one lookup and dropped."""
+        return LengthIndex.scan(self.database.iter_streams(), n_vertices)
 
     # -- filters ------------------------------------------------------------------
 

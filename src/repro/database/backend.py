@@ -110,6 +110,66 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
+def _save_synced(path: Path, array: np.ndarray) -> None:
+    """``np.save`` followed by an fsync of the file."""
+    with open(path, "wb") as handle:
+        np.save(handle, array)
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
+def _fsync_directory(path: Path) -> None:
+    """Make the entries of directory ``path`` durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _index_buffers_valid(
+    n_vertices: int, entry: dict, arrays: dict[str, np.ndarray]
+) -> bool:
+    """Structural checks on one length's loaded ``idx-*`` buffers.
+
+    A file damaged behind an intact ``.npy`` header loads fine and would
+    silently drop or misplace windows, so: offsets start at 0, strictly
+    increase and end at the row count; every column has that many rows
+    and the feature matrices ``n_vertices - 1`` columns; keys are unique
+    radix-4 keys of this length; codes index the intern table; and each
+    row's start lies below its stream's ``next_start`` watermark.
+    """
+    keys, offsets = arrays["group_keys"], arrays["group_offsets"]
+    codes, starts = arrays["stream_codes"], arrays["starts"]
+    names, rows = entry["stream_names"], len(starts)
+    if any(a.dtype.kind not in "iu" for a in (keys, offsets, codes, starts)):
+        return False
+    features = (rows, n_vertices - 1)
+    if (
+        keys.ndim != 1
+        or offsets.shape != (len(keys) + 1,)
+        or codes.shape != (rows,)
+        or starts.shape != (rows,)
+        or arrays["amplitudes"].shape != features
+        or arrays["durations"].shape != features
+        or offsets[0] != 0
+        or offsets[-1] != rows
+        or np.any(np.diff(offsets) <= 0)
+        or len(np.unique(keys)) != len(keys)
+    ):
+        return False
+    if rows == 0:
+        return True
+    if keys.min() < 0 or keys.max() >= 4 ** (n_vertices - 1):
+        return False
+    if codes.min() < 0 or codes.max() >= len(names):
+        return False
+    limit = np.asarray(
+        [entry["next_start"].get(name, 0) for name in names], dtype=np.int64
+    )
+    return not (np.any(starts < 0) or np.any(starts >= limit[codes]))
+
+
 def _attributes_payload(attributes: PatientAttributes | None) -> dict | None:
     if attributes is None:
         return None
@@ -497,6 +557,7 @@ class LoggedBackend(InMemoryBackend):
             "segments_replayed": 0,
             "tombstones_skipped": 0,
             "index_lengths_loaded": 0,
+            "index_lengths_rejected": 0,
             "files_read": [],
         }
         self.reopen_stats = stats
@@ -624,7 +685,8 @@ class LoggedBackend(InMemoryBackend):
            covers.
         2. Export the signature index's posting buffers (when an
            ``index`` is passed) alongside them.
-        3. Write ``snapshot.json`` atomically inside the snapshot dir.
+        3. Fsync every file written so far and the snapshot directory,
+           then write ``snapshot.json`` atomically inside it.
         4. Rotate each stream's journal to a fresh segment, so the
            snapshot's covered set stays immutable and amendments never
            rewrite compacted history.
@@ -667,9 +729,10 @@ class LoggedBackend(InMemoryBackend):
         for i, record in enumerate(self.iter_streams()):
             prefix = f"col-{i:05d}"
             series = record.series
-            np.save(snap_dir / f"{prefix}-times.npy", series.times)
-            np.save(snap_dir / f"{prefix}-positions.npy", series.positions)
-            np.save(snap_dir / f"{prefix}-states.npy", series.states)
+            for column in ("times", "positions", "states"):
+                _save_synced(
+                    snap_dir / f"{prefix}-{column}.npy", getattr(series, column)
+                )
             stream_entries.append(
                 {
                     "stream_id": record.stream_id,
@@ -687,7 +750,9 @@ class LoggedBackend(InMemoryBackend):
             for j, (m, state) in enumerate(sorted(index.export_buffers().items())):
                 prefix = f"idx-{j:05d}"
                 for field, suffix in _INDEX_COLUMN_FILES:
-                    np.save(snap_dir / f"{prefix}-{suffix}.npy", state[field])
+                    _save_synced(
+                        snap_dir / f"{prefix}-{suffix}.npy", state[field]
+                    )
                 index_entries.append(
                     {
                         "n_vertices": m,
@@ -696,6 +761,12 @@ class LoggedBackend(InMemoryBackend):
                         "next_start": state["next_start"],
                     }
                 )
+
+        # Every column file, and the directory entries naming them, must
+        # be on disk before the manifest that names them: otherwise a
+        # crash after the commit can reopen a snapshot with lost files.
+        _fsync_directory(snap_dir)
+        _fsync_directory(self._snapshots_dir)
 
         # 3. the snapshot's own manifest (atomic within the snapshot dir).
         text = json.dumps(
@@ -956,7 +1027,13 @@ def _read_snapshot(
                 path = snap_dir / f"{prefix}-{suffix}.npy"
                 stats["files_read"].append(str(path.relative_to(directory)))
                 arrays[field] = np.load(path, mmap_mode="r")
-            index_buffers[int(entry["n_vertices"])] = {
+            n_vertices = int(entry["n_vertices"])
+            if not _index_buffers_valid(n_vertices, entry, arrays):
+                # Damaged buffers: drop the length, which rebuilds
+                # lazily like a stale one.
+                stats["index_lengths_rejected"] += 1
+                continue
+            index_buffers[n_vertices] = {
                 "stream_names": list(entry["stream_names"]),
                 "next_start": dict(entry["next_start"]),
                 **arrays,
@@ -1058,6 +1135,7 @@ def open_snapshot_scan(directory: str | Path) -> SnapshotScan:
         "torn_snapshots": 0,
         "tombstones_skipped": 0,
         "index_lengths_loaded": 0,
+        "index_lengths_rejected": 0,
         "files_read": [],
     }
     for snap_id in reversed(chain):

@@ -17,11 +17,13 @@ The engine is **columnar and vectorised** end to end:
   order-preserving window code).  Up to ``MAX_RADIX_SEGMENTS`` segments
   the keys are computed as packed ``int64``; longer windows get the same
   base-``N_STATES`` integer as a Python int, assembled from int64 chunks.
-* Posting lists are **growable contiguous arrays** with
-  amortised-doubling capacity, so appends are O(1) amortised and
-  ``stacked()`` is a zero-copy slice of the live buffers rather than a
-  re-``vstack``.  Stream ids are interned to small integer codes, and a
-  :class:`CandidateSet` hands out the codes with the intern table.
+* Each window length keeps **one key-sorted CSR table** (keys ascending,
+  a row range per key over flat columns, looked up with
+  ``searchsorted``), built by its first catch-up or adopted from a
+  snapshot by sorting only the keys; keys appended to later get a
+  growable posting seeded with their rows.  Stream ids are interned to
+  small integer codes, and a :class:`CandidateSet` hands out the codes
+  with the intern table.
 
 The index remains **lazy and incremental**: windows of a given length are
 indexed the first time a query of that length arrives, and each lookup
@@ -29,13 +31,13 @@ first catches up with vertices appended since the previous lookup — which
 is exactly the online-streaming pattern (the live session's series keeps
 growing during treatment).  Stream *removal* is detected through the
 database's ``removal_epoch`` counter, so the common append-only path pays
-nothing for the check.
+nothing for the check.  The no-index leg serves the same interface from
+a throwaway :class:`LengthIndex` per lookup (:meth:`LengthIndex.scan`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -44,14 +46,13 @@ from .store import MotionDatabase
 
 __all__ = [
     "CandidateSet",
+    "LengthIndex",
     "StateSignatureIndex",
     "N_STATES",
     "MAX_RADIX_SEGMENTS",
     "encode_signature",
     "decode_signature",
     "collapse_signature",
-    "buffer_posting_groups",
-    "series_posting_groups",
 ]
 
 #: Cardinality of the state alphabet (EX, EOE, IN, IRR).
@@ -64,7 +65,7 @@ MAX_RADIX_SEGMENTS = 31
 
 
 #: Catch-up batches at or below this many windows skip the vectorised
-#: batch machinery for direct scalar appends (see ``catch_up_all``).
+#: batch machinery for direct scalar appends (see ``LengthIndex.catch_up``).
 _SMALL_CATCH_UP = 8
 
 
@@ -152,6 +153,65 @@ def _window_keys(windows: np.ndarray) -> np.ndarray:
     return keys
 
 
+def _key_states(keys: np.ndarray, n_segments: int) -> np.ndarray:
+    """Invert :func:`_window_keys`: the ``(len(keys), n_segments)`` int8
+    state matrix of an int64 or object key array (a vectorised
+    :func:`decode_signature`)."""
+    states = np.empty((len(keys), n_segments), dtype=np.int8)
+    for lo in range(0, n_segments, MAX_RADIX_SEGMENTS):
+        width = min(MAX_RADIX_SEGMENTS, n_segments - lo)
+        chunk = ((keys >> (2 * lo)) & (N_STATES**width - 1)).astype(np.int64)
+        shifts = 2 * np.arange(width, dtype=np.int64)
+        digits = (chunk[:, None] >> shifts) & (N_STATES - 1)
+        states[:, lo : lo + width] = digits
+    return states
+
+
+def _coarse_keys(states: np.ndarray) -> np.ndarray:
+    """Collapsed-signature keys of a ``(k, n_segments)`` state matrix.
+
+    Row ``i``'s run-length-collapsed signature (:func:`collapse_signature`)
+    is packed like a window key, with a sentinel state ``1`` one position
+    past its last run.  The packed runs are below ``N_STATES ** n_runs``,
+    so the sentinel makes the key carry ``n_runs`` as well: two rows share
+    a key exactly when their collapsed signatures are equal, whatever
+    their window lengths.
+    """
+    k, n_segments = states.shape
+    keep = np.ones((k, n_segments), dtype=bool)
+    keep[:, 1:] = states[:, 1:] != states[:, :-1]
+    run = np.cumsum(keep, axis=1) - 1
+    rows, cols = np.nonzero(keep)
+    collapsed = np.zeros((k, n_segments + 1), dtype=np.int8)
+    collapsed[rows, run[rows, cols]] = states[rows, cols]
+    collapsed[np.arange(k), keep.sum(axis=1)] = 1
+    return _window_keys(collapsed)
+
+
+def _coarse_key(signature) -> tuple[int, int]:
+    """One signature's collapsed key (as :func:`_coarse_keys` packs it)
+    and its run count, with Python ints: a query's, once per lookup."""
+    key, n_runs, previous = 0, 0, None
+    for state in np.asarray(signature).tolist():
+        if state != previous:
+            key += state * N_STATES**n_runs
+            n_runs += 1
+            previous = state
+    return key + N_STATES**n_runs, n_runs
+
+
+def _sorted_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted-key grouping every posting layout is built with: a
+    stable argsort of ``keys``, and bounds such that group ``g`` (the
+    ``g``-th distinct key) is ``order[bounds[g] : bounds[g + 1]]``."""
+    order = np.argsort(keys, kind="stable")
+    if len(keys) == 0:
+        return order, np.zeros(1, dtype=np.int64)
+    ordered = keys[order]
+    change = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    return order, np.r_[0, change, len(keys)].astype(np.int64)
+
+
 @dataclass(frozen=True)
 class CandidateSet:
     """All indexed windows sharing one state signature.
@@ -198,36 +258,88 @@ class CandidateSet:
         )
 
 
-class _ColumnarPostings:
-    """One signature's windows in contiguous amortised-doubling buffers.
+#: The flat posting columns, as attribute names of both posting layouts.
+_COLUMNS = ("codes", "starts", "amplitudes", "durations")
 
-    Appends write into preallocated capacity (doubling on overflow, so n
-    appends cost O(n) amortised); ``stacked()`` slices the live prefix of
-    each buffer — zero copies for the numeric columns.  Stream ids are
-    stored as int32 codes into the owning :class:`_LengthIndex`'s intern
-    table.
-    """
+#: The same columns' fields in an ``export_buffers`` payload.
+_BUFFER_COLUMNS = ("stream_codes", "starts", "amplitudes", "durations")
 
-    __slots__ = (
-        "n_segments",
-        "n",
-        "_capacity",
-        "_stream_codes",
-        "_starts",
-        "_amplitudes",
-        "_durations",
-        "_stacked",
+
+def _candidate_slice(postings, rows: slice, names) -> CandidateSet:
+    """Rows ``rows`` of a posting layout's columns, as a candidate set."""
+    return CandidateSet(
+        postings.codes[rows],
+        names,
+        postings.starts[rows],
+        postings.amplitudes[rows],
+        postings.durations[rows],
     )
 
+
+class _PostingTable:
+    """Key-sorted CSR postings of one window length.
+
+    ``keys`` holds the distinct signature keys ascending; key ``i`` owns
+    rows ``lo[i]:hi[i]`` of the flat ``codes`` / ``starts`` /
+    ``amplitudes`` / ``durations`` columns.  A built table is contiguous
+    (``lo[i + 1] == hi[i]``); an adopted export keeps its row order, so
+    only its keys are sorted.  Lookups are one ``searchsorted``.
+    """
+
+    __slots__ = ("keys", "lo", "hi") + _COLUMNS
+
+    def __init__(self, keys, lo, hi, codes, starts, amplitudes, durations):
+        self.keys = keys
+        self.lo = lo
+        self.hi = hi
+        self.codes = codes
+        self.starts = starts
+        self.amplitudes = amplitudes
+        self.durations = durations
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.starts)
+
+    def contiguous(self) -> bool:
+        """Whether the rows are already grouped in key order from row 0."""
+        lo, hi = self.lo, self.hi
+        if len(lo) == 0:
+            return self.n_rows == 0
+        return bool(
+            lo[0] == 0 and hi[-1] == self.n_rows and np.all(lo[1:] == hi[:-1])
+        )
+
+    def find(self, key) -> int:
+        """Position of ``key`` in :attr:`keys`, or ``-1``."""
+        keys = self.keys
+        i = int(np.searchsorted(keys, key))
+        if i < len(keys) and keys[i] == key:
+            return i
+        return -1
+
+    def select(self, i: int, names: np.ndarray) -> CandidateSet:
+        """Key ``i``'s windows as zero-copy slices of the columns."""
+        return _candidate_slice(self, slice(self.lo[i], self.hi[i]), names)
+
+
+class _GrownPosting:
+    """One key's windows once its length's table is built and it grows.
+
+    Created on the key's first append, seeded with the key's table rows
+    (which it then supersedes), so only keys that grow are ever copied.
+    Appends write into amortised-doubling buffers (n appends cost O(n)).
+    """
+
+    __slots__ = ("n", "_capacity") + _COLUMNS
+
     def __init__(self, n_segments: int) -> None:
-        self.n_segments = n_segments
         self.n = 0
         self._capacity = 0
-        self._stream_codes = np.empty(0, dtype=np.int32)
-        self._starts = np.empty(0, dtype=np.int64)
-        self._amplitudes = np.empty((0, n_segments), dtype=float)
-        self._durations = np.empty((0, n_segments), dtype=float)
-        self._stacked: CandidateSet | None = None
+        self.codes = np.empty(0, dtype=np.int32)
+        self.starts = np.empty(0, dtype=np.int64)
+        self.amplitudes = np.empty((0, n_segments), dtype=float)
+        self.durations = np.empty((0, n_segments), dtype=float)
 
     def _reserve(self, needed: int) -> None:
         if needed <= self._capacity:
@@ -235,113 +347,100 @@ class _ColumnarPostings:
         capacity = max(4, self._capacity)
         while capacity < needed:
             capacity *= 2
-        stream_codes = np.empty(capacity, dtype=np.int32)
-        stream_codes[: self.n] = self._stream_codes[: self.n]
-        self._stream_codes = stream_codes
-        starts = np.empty(capacity, dtype=np.int64)
-        starts[: self.n] = self._starts[: self.n]
-        self._starts = starts
-        amplitudes = np.empty((capacity, self.n_segments), dtype=float)
-        amplitudes[: self.n] = self._amplitudes[: self.n]
-        self._amplitudes = amplitudes
-        durations = np.empty((capacity, self.n_segments), dtype=float)
-        durations[: self.n] = self._durations[: self.n]
-        self._durations = durations
+        for name in _COLUMNS:
+            old = getattr(self, name)
+            new = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
+            new[: self.n] = old[: self.n]
+            setattr(self, name, new)
         self._capacity = capacity
 
     def extend(
         self,
-        stream_codes: np.ndarray | int,
+        codes: np.ndarray | int,
         starts: np.ndarray,
         amplitudes: np.ndarray,
         durations: np.ndarray,
     ) -> None:
-        """Bulk-append windows (``stream_codes`` broadcasts per row)."""
+        """Bulk-append windows (``codes`` broadcasts per row)."""
         k = len(starts)
         if k == 0:
             return
         self._reserve(self.n + k)
         block = slice(self.n, self.n + k)
-        self._stream_codes[block] = stream_codes
-        self._starts[block] = starts
-        self._amplitudes[block] = amplitudes
-        self._durations[block] = durations
+        self.codes[block] = codes
+        self.starts[block] = starts
+        self.amplitudes[block] = amplitudes
+        self.durations[block] = durations
         self.n += k
-        self._stacked = None
 
-    def append_one(
-        self,
-        stream_code: int,
-        start: int,
-        amplitudes: np.ndarray,
-        durations: np.ndarray,
-    ) -> None:
-        """Append a single window (the tiny-batch catch-up path)."""
-        n = self.n
-        self._reserve(n + 1)
-        self._stream_codes[n] = stream_code
-        self._starts[n] = start
-        self._amplitudes[n] = amplitudes
-        self._durations[n] = durations
-        self.n = n + 1
-        self._stacked = None
-
-    def adopt(
-        self,
-        stream_codes: np.ndarray,
-        starts: np.ndarray,
-        amplitudes: np.ndarray,
-        durations: np.ndarray,
-    ) -> None:
-        """Take ownership of prebuilt column slices (the mmap-import path).
-
-        The arrays may be read-only views of memory-mapped snapshot
-        buffers: capacity is pinned to the current length, so the first
-        post-import append triggers a :meth:`_reserve` copy into fresh
-        writable buffers while lookups keep serving zero-copy slices of
-        the maps.
-        """
-        n = len(starts)
-        self._stream_codes = stream_codes
-        self._starts = starts
-        self._amplitudes = amplitudes
-        self._durations = durations
-        self.n = n
-        self._capacity = n
-        self._stacked = None
-
-    def stacked(self, stream_names: np.ndarray) -> CandidateSet:
-        """The posting list as a :class:`CandidateSet` (cached).
-
-        ``stream_names`` is the owning length index's intern table as an
-        object array; the columns are zero-copy views of the live buffer
-        prefix.
-        """
-        if self._stacked is None:
-            self._stacked = CandidateSet(
-                codes=self._stream_codes[: self.n],
-                names=stream_names,
-                starts=self._starts[: self.n],
-                amplitudes=self._amplitudes[: self.n],
-                durations=self._durations[: self.n],
-            )
-        return self._stacked
+    def select(self, names: np.ndarray) -> CandidateSet:
+        """The posting's windows as zero-copy slices of the buffers."""
+        return _candidate_slice(self, slice(0, self.n), names)
 
 
-class _LengthIndex:
-    """Postings for all windows of one vertex count."""
+class LengthIndex:
+    """Postings for all windows of one vertex count.
+
+    A key-sorted CSR table holds every window the first catch-up saw (or
+    a snapshot's export, adopted as it is); keys appended to after that
+    live in grown postings that supersede their table rows.  The same
+    retrieval interface serves the live index
+    (:class:`StateSignatureIndex` keeps one per length) and the no-index
+    leg (:meth:`scan` builds a throwaway one per query).
+    """
 
     def __init__(self, n_vertices: int) -> None:
         self.n_vertices = n_vertices
-        self.postings: dict[int, _ColumnarPostings] = {}
-        #: Collapsed signature -> fine posting keys carrying it (the
-        #: coarse granularity; see :func:`collapse_signature`).  Filled
-        #: as postings are created, in both the live catch-up path and
-        #: the snapshot restore path.
-        self.coarse: dict[tuple[int, ...], list[int]] = {}
+        self.n_windows = 0
+        self._table: _PostingTable | None = None
+        self._grown: dict[int, _GrownPosting] = {}
+        #: Grown keys the table does not hold, in creation order.
+        self._new_keys: list[int] = []
+        #: Lazy coarse column (see _coarse_column), built when
+        #: ``_coarse_seen`` new keys existed.
+        self._coarse: tuple[np.ndarray, ...] | None = None
+        self._coarse_seen = 0
         self._next_start: dict[str, int] = {}
         self._stream_names: list[str] = []
         self._stream_codes: dict[str, int] = {}
+
+    @classmethod
+    def scan(cls, records, n_vertices: int) -> "LengthIndex":
+        """A length index over stream records, built in one pass: the
+        no-index access path, and the bulk groups of streams no exported
+        buffer covers."""
+        length_index = cls(n_vertices)
+        length_index.catch_up(records)
+        return length_index
+
+    @classmethod
+    def restore(
+        cls, n_vertices: int, state: dict[str, object]
+    ) -> "LengthIndex":
+        """Adopt one length's :meth:`export` payload (typically memory-
+        mapped), sorting only its keys: no signature is decoded and no
+        column copied."""
+        length_index = cls(n_vertices)
+        names = list(state["stream_names"])
+        length_index._stream_names = names
+        length_index._stream_codes = {n: c for c, n in enumerate(names)}
+        length_index._next_start = {
+            stream_id: int(start)
+            for stream_id, start in dict(state["next_start"]).items()
+        }
+        # Plain ndarray views of the (typically memory-mapped) columns:
+        # slicing them pays no memmap overhead.
+        keys = np.asarray(state["group_keys"], dtype=np.int64)
+        offsets = np.asarray(state["group_offsets"], dtype=np.int64)
+        order = np.argsort(keys, kind="stable")
+        length_index._table = _PostingTable(
+            keys[order],
+            offsets[:-1][order],
+            offsets[1:][order],
+            *(np.asarray(state[field]) for field in _BUFFER_COLUMNS),
+        )
+        length_index.n_windows = len(state["starts"])
+        return length_index
 
     @property
     def indexed_streams(self) -> tuple[str, ...]:
@@ -349,9 +448,9 @@ class _LengthIndex:
         return tuple(self._next_start)
 
     @property
-    def n_windows(self) -> int:
-        """Total windows indexed at this length."""
-        return sum(p.n for p in self.postings.values())
+    def n_postings(self) -> int:
+        """Number of distinct signatures indexed."""
+        return len(self._table.keys) + len(self._new_keys)
 
     def _code(self, stream_id: str) -> int:
         code = self._stream_codes.get(stream_id)
@@ -365,22 +464,23 @@ class _LengthIndex:
         """The intern table as an object array (for fancy expansion)."""
         return np.asarray(self._stream_names, dtype=object)
 
-    def catch_up_all(self, records, injector=None) -> int:
+    # -- catch-up ------------------------------------------------------------
+
+    def catch_up(self, records, injector=None) -> int:
         """Index every window appended to any stream since the last call.
 
+        ``records`` yields stream records (``stream_id`` and ``series``).
         Returns the number of windows added by this batch (telemetry's
-        catch-up batch-size metric — free to compute either way).
+        catch-up batch-size metric).
 
-        All streams' new regions are spliced into **one** concatenated
-        buffer per column (with ``n_segments - 1`` sentinel slots between
-        streams so no window straddles a boundary), all signatures are
-        radix-encoded at once over one ``sliding_window_view`` (one
-        matmul per 31 states, see :func:`_window_keys`), the valid window
-        rows are selected arithmetically (no scanning), and one stable
-        argsort groups them for one bulk ``extend`` per distinct
-        signature.  A naive per-stream loop pays numpy dispatch
-        per (stream, signature) pair, which is what dominated build time
-        at fleet scale.
+        All streams' new regions are spliced into **one** buffer per
+        column (``n_segments - 1`` sentinel slots between streams, so no
+        window straddles a boundary), every key is radix-encoded over one
+        ``sliding_window_view``, valid rows are selected arithmetically,
+        and one stable argsort groups them: into the CSR table on the
+        first call, onto grown postings later.  A handful of windows
+        (steady-state serving, where numpy's dispatch cost dwarfs the
+        work) takes scalar appends instead.
         """
         m = self.n_vertices
         n_segments = m - 1
@@ -398,14 +498,9 @@ class _LengthIndex:
                 continue
             pending.append((record.stream_id, series, start, last))
             total += last - start + 1
-        if not pending:
-            return 0
-        if total <= _SMALL_CATCH_UP:
-            # Steady-state serving: each live commit adds a handful of
-            # windows, and the batch machinery's fixed numpy dispatch
-            # cost (concatenates, the strided matmul, the argsort)
-            # dwarfs the actual work at that size.  Pack each key with
-            # Python-int radix arithmetic and append rows directly.
+        if self._table is not None and total <= _SMALL_CATCH_UP:
+            # Pack each key with Python-int radix arithmetic and append
+            # rows directly.
             radix = _radix_ints(n_segments)
             for stream_id, series, start, last in pending:
                 states = series.states
@@ -416,100 +511,225 @@ class _LengthIndex:
                     key = 0
                     for j, r in enumerate(radix):
                         key += int(states[s + j]) * r
-                    self._posting(key, n_segments).append_one(
+                    self._grow(key).extend(
                         code,
-                        s,
+                        (s,),
                         amplitudes[s : s + n_segments],
                         durations[s : s + n_segments],
                     )
                 self._next_start[stream_id] = last + 1
+            self.n_windows += total
             return total
         sep = max(n_segments - 1, 0)
         sep_states = np.full(sep, -1, dtype=np.int8)
         sep_feats = np.zeros(sep, dtype=float)
+        # A leading sentinel block keeps every buffer at least one window
+        # long, also when nothing is pending (the first call then builds
+        # an empty table).
+        state_parts = [np.full(n_segments, -1, dtype=np.int8)]
+        amp_parts = [np.zeros(n_segments)]
+        dur_parts = [np.zeros(n_segments)]
         first_starts: list[int] = []
         counts: list[int] = []
         codes: list[int] = []
         offsets: list[int] = []
-        state_parts: list[np.ndarray] = []
-        amp_parts: list[np.ndarray] = []
-        dur_parts: list[np.ndarray] = []
-        pos = 0
+        pos = n_segments
         for stream_id, series, start, last in pending:
             n_new = last - start + 1
             first_starts.append(start)
             counts.append(n_new)
             codes.append(self._code(stream_id))
             offsets.append(pos)
-            if n_segments > 0:
-                # Window s spans states/amplitudes/durations[s : s+m-1];
-                # the region below covers s = start .. last exactly.
-                region = slice(start, last + n_segments)
-                state_parts.append(series.states[region])
-                amp_parts.append(series.amplitudes[region])
-                dur_parts.append(series.durations[region])
-                state_parts.append(sep_states)
-                amp_parts.append(sep_feats)
-                dur_parts.append(sep_feats)
-                pos += n_new + n_segments - 1 + sep
-            else:
-                pos += n_new
+            # Window s spans states/amplitudes/durations[s : s+m-1]; the
+            # region below covers s = start .. last exactly.
+            region = slice(start, last + n_segments)
+            state_parts += [series.states[region], sep_states]
+            amp_parts += [series.amplitudes[region], sep_feats]
+            dur_parts += [series.durations[region], sep_feats]
+            pos += n_new + n_segments - 1 + sep
             self._next_start[stream_id] = last + 1
         count_arr = np.asarray(counts, dtype=np.int64)
-        shift = np.concatenate(([0], np.cumsum(count_arr)[:-1]))
         ramp = np.arange(total, dtype=np.int64)
+        shift = np.cumsum(count_arr) - count_arr
         starts = ramp + np.repeat(
             np.asarray(first_starts, dtype=np.int64) - shift, count_arr
         )
-        stream_codes = np.repeat(
-            np.asarray(codes, dtype=np.int32), count_arr
+        stream_codes = np.repeat(np.asarray(codes, dtype=np.int32), count_arr)
+        # Global row index of each stream's windows inside the big strided
+        # view; sentinel-straddling windows are simply never selected.
+        rows = ramp + np.repeat(
+            np.asarray(offsets, dtype=np.int64) - shift, count_arr
         )
-        if n_segments > 0:
-            # Global row index of each stream's windows inside the big
-            # strided view; sentinel-straddling windows are simply never
-            # selected.
-            rows = ramp + np.repeat(
-                np.asarray(offsets, dtype=np.int64) - shift, count_arr
+        windows = sliding_window_view(np.concatenate(state_parts), n_segments)
+        amp_wins = sliding_window_view(np.concatenate(amp_parts), n_segments)
+        dur_wins = sliding_window_view(np.concatenate(dur_parts), n_segments)
+        keys = _window_keys(windows)[rows]
+        order, bounds = _sorted_groups(keys)
+        if self._table is None:
+            take = rows[order]
+            self._table = _PostingTable(
+                keys[order[bounds[:-1]]],
+                bounds[:-1],
+                bounds[1:],
+                stream_codes[order],
+                starts[order],
+                amp_wins[take],
+                dur_wins[take],
             )
-            windows = sliding_window_view(
-                np.concatenate(state_parts), n_segments
-            )
-            amp_wins = sliding_window_view(
-                np.concatenate(amp_parts), n_segments
-            )
-            dur_wins = sliding_window_view(
-                np.concatenate(dur_parts), n_segments
-            )
-            keys = _window_keys(windows)[rows]
         else:
-            rows = ramp
-            amp_wins = np.empty((total, 0), dtype=float)
-            dur_wins = np.empty((total, 0), dtype=float)
-            keys = np.zeros(total, dtype=np.int64)
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        bounds = np.flatnonzero(
-            np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
-        )
-        for g, b in enumerate(bounds):
-            e = bounds[g + 1] if g + 1 < len(bounds) else len(order)
-            group = order[b:e]
-            self._posting(int(sorted_keys[b]), n_segments).extend(
-                stream_codes[group],
-                starts[group],
-                amp_wins[rows[group]],
-                dur_wins[rows[group]],
-            )
+            for b, e in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+                group = order[b:e]
+                self._grow(keys[group[0]]).extend(
+                    stream_codes[group],
+                    starts[group],
+                    amp_wins[rows[group]],
+                    dur_wins[rows[group]],
+                )
+        self.n_windows += total
         return total
 
-    def _posting(self, key: int, n_segments: int) -> _ColumnarPostings:
-        posting = self.postings.get(key)
+    def _grow(self, key) -> _GrownPosting:
+        """The grown posting for ``key``; on the key's first append it is
+        seeded with the key's table rows, or registered as a new key."""
+        key = int(key)
+        posting = self._grown.get(key)
         if posting is None:
-            posting = _ColumnarPostings(n_segments)
-            self.postings[key] = posting
-            coarse_key = collapse_signature(decode_signature(key, n_segments))
-            self.coarse.setdefault(coarse_key, []).append(key)
+            table = self._table
+            posting = self._grown[key] = _GrownPosting(self.n_vertices - 1)
+            i = table.find(key)
+            if i < 0:
+                self._new_keys.append(key)
+            else:
+                rows = slice(table.lo[i], table.hi[i])
+                posting.extend(
+                    *(getattr(table, name)[rows] for name in _COLUMNS)
+                )
         return posting
+
+    # -- lookups -------------------------------------------------------------
+
+    def _lookup(self, key, names: np.ndarray) -> CandidateSet | None:
+        posting = self._grown.get(key)
+        if posting is not None:
+            return posting.select(names)
+        table = self._table
+        i = table.find(key)
+        return None if i < 0 else table.select(i, names)
+
+    def candidates(self, signature) -> CandidateSet | None:
+        """All windows whose segment states equal ``signature``, or
+        ``None`` when no window matches."""
+        return self._lookup(encode_signature(signature), self.stream_names())
+
+    def coarse_groups(
+        self, signature
+    ) -> list[tuple[tuple[int, ...], CandidateSet]]:
+        """One ``(segment_states, candidates)`` entry per fine signature
+        whose run-length-collapsed form equals ``signature``'s (see
+        :meth:`StateSignatureIndex.coarse_groups`), keys ascending."""
+        target, n_runs = _coarse_key(signature)
+        if n_runs >= self.n_vertices:
+            # More runs than this length has segments: nothing collapses
+            # to it (and its key may not fit this length's key dtype).
+            return []
+        coarse, fine, states = self._coarse_column()
+        lo = np.searchsorted(coarse, target, side="left")
+        hi = np.searchsorted(coarse, target, side="right")
+        names = self.stream_names()
+        return [
+            (tuple(row), self._lookup(key, names))
+            for row, key in zip(states[lo:hi].tolist(), fine[lo:hi].tolist())
+        ]
+
+    def _coarse_column(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every fine key's collapsed key, sorted (fine keys ascending
+        within one), with the fine keys and their states aligned.
+
+        Computed vectorised on the first warped lookup at this length,
+        and again on the next one after keys new to the length appear
+        (rare: 5 in 3,600 ``modes-large`` ticks).  Rigid and normalized
+        lookups never decode a signature.
+        """
+        if self._coarse is None or self._coarse_seen < len(self._new_keys):
+            table_keys = self._table.keys
+            fine = np.sort(
+                np.concatenate(
+                    (
+                        table_keys,
+                        np.asarray(self._new_keys, dtype=table_keys.dtype),
+                    )
+                )
+            )
+            states = _key_states(fine, self.n_vertices - 1)
+            coarse = _coarse_keys(states)
+            order = np.argsort(coarse, kind="stable")
+            self._coarse = (coarse[order], fine[order], states[order])
+            self._coarse_seen = len(self._new_keys)
+        return self._coarse
+
+    # -- bulk access ---------------------------------------------------------
+
+    def table(self) -> _PostingTable:
+        """The table and every grown posting as one contiguous key-sorted
+        CSR: the table itself when nothing grew and its rows are already
+        in key order, otherwise one regrouping of all rows."""
+        table = self._table
+        if not self._grown and table.contiguous():
+            return table
+        grown_keys = np.asarray(list(self._grown), dtype=table.keys.dtype)
+        kept = np.flatnonzero(~np.isin(table.keys, grown_keys))
+        counts = (table.hi - table.lo)[kept]
+        rows = np.concatenate(
+            [np.arange(table.lo[i], table.hi[i]) for i in kept]
+            + [np.empty(0, dtype=np.int64)]
+        )
+        postings = self._grown.values()
+        keys = np.concatenate(
+            (
+                np.repeat(table.keys[kept], counts),
+                np.repeat(grown_keys, [p.n for p in postings]),
+            )
+        )
+        columns = [
+            np.concatenate(
+                [getattr(table, name)[rows]]
+                + [getattr(p, name)[: p.n] for p in postings]
+            )
+            for name in _COLUMNS
+        ]
+        order, bounds = _sorted_groups(keys)
+        return _PostingTable(
+            keys[order[bounds[:-1]]],
+            bounds[:-1],
+            bounds[1:],
+            *(column[order] for column in columns),
+        )
+
+    def posting_groups(self) -> list[tuple[int, CandidateSet]]:
+        """Every posting, keys ascending."""
+        table = self.table()
+        names = self.stream_names()
+        return [
+            (key, table.select(i, names))
+            for i, key in enumerate(table.keys.tolist())
+        ]
+
+    def export(self) -> dict[str, object]:
+        """The length as one sorted CSR payload (see
+        :meth:`StateSignatureIndex.export_buffers`)."""
+        table = self.table()
+        return {
+            "stream_names": list(self._stream_names),
+            "next_start": dict(self._next_start),
+            "group_keys": table.keys.astype(np.int64, copy=False),
+            "group_offsets": np.append(table.lo, table.n_rows).astype(
+                np.int64, copy=False
+            ),
+            **{
+                field: getattr(table, name)
+                for field, name in zip(_BUFFER_COLUMNS, _COLUMNS)
+            },
+        }
 
 
 class StateSignatureIndex:
@@ -538,7 +758,7 @@ class StateSignatureIndex:
     ) -> None:
         self.database = database
         self.injector = injector
-        self._by_length: dict[int, _LengthIndex] = {}
+        self._by_length: dict[int, LengthIndex] = {}
         self._removal_epoch = database.removal_epoch
         self._t = telemetry
         if telemetry is not None:
@@ -604,16 +824,10 @@ class StateSignatureIndex:
             matcher passes ``Subsequence.segment_states`` directly); the
             window vertex count is ``len(signature) + 1``.
         """
-        length_index = self._caught_up(len(signature) + 1)
-        telemetry = self._t
-        posting = length_index.postings.get(encode_signature(signature))
-        if posting is None or posting.n == 0:
-            if telemetry is not None:
-                self._c_misses.inc()
-            return None
-        if telemetry is not None:
-            self._c_hits.inc()
-        return posting.stacked(length_index.stream_names())
+        found = self._caught_up(len(signature) + 1).candidates(signature)
+        if self._t is not None:
+            (self._c_misses if found is None else self._c_hits).inc()
+        return found
 
     def coarse_groups(
         self, signature, n_vertices: int
@@ -629,24 +843,12 @@ class StateSignatureIndex:
         caller can evaluate its refinement (e.g. the banded-DTW kernel)
         vectorised per group.
         """
-        length_index = self._caught_up(n_vertices)
-        telemetry = self._t
-        coarse_key = collapse_signature(signature)
-        groups: list[tuple[tuple[int, ...], CandidateSet]] = []
-        names = None
-        for key in length_index.coarse.get(coarse_key, ()):
-            posting = length_index.postings.get(key)
-            if posting is None or posting.n == 0:
-                continue
-            if names is None:
-                names = length_index.stream_names()
-            states = decode_signature(key, n_vertices - 1)
-            groups.append((states, posting.stacked(names)))
-        if telemetry is not None:
+        groups = self._caught_up(n_vertices).coarse_groups(signature)
+        if self._t is not None:
             (self._c_hits if groups else self._c_misses).inc()
         return groups
 
-    def _caught_up(self, n_vertices: int) -> _LengthIndex:
+    def _caught_up(self, n_vertices: int) -> LengthIndex:
         """The length index for ``n_vertices``, caught up to the database.
 
         Shared by :meth:`candidates` and :meth:`coarse_groups`; carries
@@ -656,7 +858,7 @@ class StateSignatureIndex:
         self._check_removals()
         length_index = self._by_length.get(n_vertices)
         if length_index is None:
-            length_index = _LengthIndex(n_vertices)
+            length_index = LengthIndex(n_vertices)
             self._by_length[n_vertices] = length_index
         # Snapshot the stream list: a stream removed concurrently (e.g.
         # by a fault callback) must not break the iteration itself.
@@ -664,11 +866,11 @@ class StateSignatureIndex:
         telemetry = self._t
         try:
             if telemetry is None:
-                length_index.catch_up_all(records, self.injector)
+                length_index.catch_up(records, self.injector)
             else:
                 span = self._catch_up_span
                 with span:
-                    added = length_index.catch_up_all(records, self.injector)
+                    added = length_index.catch_up(records, self.injector)
                 self._h_catch_up.observe(span.wall)
         except BaseException:
             self._by_length.pop(n_vertices, None)
@@ -680,7 +882,7 @@ class StateSignatureIndex:
                 self._h_batch.observe(added)
             self._g_lengths.set(len(self._by_length))
             self._g_postings.set(
-                sum(len(li.postings) for li in self._by_length.values())
+                sum(li.n_postings for li in self._by_length.values())
             )
         return length_index
 
@@ -701,14 +903,7 @@ class StateSignatureIndex:
         of every stream currently in the database.  Ordering is
         deterministic: keys ascending.
         """
-        length_index = self._caught_up(n_vertices)
-        names = length_index.stream_names()
-        groups: list[tuple[int, CandidateSet]] = []
-        for key in sorted(length_index.postings):
-            posting = length_index.postings[key]
-            if posting.n:
-                groups.append((key, posting.stacked(names)))
-        return groups
+        return self._caught_up(n_vertices).posting_groups()
 
     # -- snapshot export / import ----------------------------------------------
 
@@ -724,100 +919,36 @@ class StateSignatureIndex:
         (``next_start``) are ever re-indexed.
 
         Per window length the payload carries the intern table and
-        catch-up watermarks (JSON-safe) plus five arrays: the sorted
-        posting keys, group offsets into the concatenated columns, and
-        the stream-code/start/amplitude/duration columns themselves.
-        Lengths whose signatures exceed :data:`MAX_RADIX_SEGMENTS`
-        segments have keys past int64 and are skipped — they rebuild
-        lazily on first lookup instead.
+        catch-up watermarks (JSON-safe) plus six arrays: the posting keys
+        ascending, group offsets into the concatenated columns, and the
+        stream-code/start/amplitude/duration columns themselves, grouped
+        in key order.  Lengths whose signatures exceed
+        :data:`MAX_RADIX_SEGMENTS` segments have keys past int64 and are
+        skipped — they rebuild lazily on first lookup instead.
         """
-        payload: dict[int, dict[str, object]] = {}
-        for n_vertices, length_index in self._by_length.items():
-            n_segments = n_vertices - 1
-            if n_segments > MAX_RADIX_SEGMENTS:
-                continue
-            keys: list[int] = []
-            offsets = [0]
-            codes_parts, starts_parts = [], []
-            amp_parts, dur_parts = [], []
-            total = 0
-            for key, posting in length_index.postings.items():
-                if posting.n == 0:
-                    continue
-                keys.append(int(key))
-                total += posting.n
-                offsets.append(total)
-                codes_parts.append(posting._stream_codes[: posting.n])
-                starts_parts.append(posting._starts[: posting.n])
-                amp_parts.append(posting._amplitudes[: posting.n])
-                dur_parts.append(posting._durations[: posting.n])
-            empty2 = np.empty((0, n_segments), dtype=float)
-            payload[n_vertices] = {
-                "stream_names": list(length_index._stream_names),
-                "next_start": dict(length_index._next_start),
-                "group_keys": np.asarray(keys, dtype=np.int64),
-                "group_offsets": np.asarray(offsets, dtype=np.int64),
-                "stream_codes": (
-                    np.concatenate(codes_parts)
-                    if codes_parts
-                    else np.empty(0, dtype=np.int32)
-                ),
-                "starts": (
-                    np.concatenate(starts_parts)
-                    if starts_parts
-                    else np.empty(0, dtype=np.int64)
-                ),
-                "amplitudes": (
-                    np.concatenate(amp_parts) if amp_parts else empty2
-                ),
-                "durations": (
-                    np.concatenate(dur_parts) if dur_parts else empty2
-                ),
-            }
-        return payload
+        return {
+            n_vertices: length_index.export()
+            for n_vertices, length_index in self._by_length.items()
+            if n_vertices - 1 <= MAX_RADIX_SEGMENTS
+        }
 
     def restore_buffers(self, payload: dict[int, dict[str, object]]) -> int:
         """Adopt :meth:`export_buffers` output (typically memory-mapped).
 
-        Numeric columns become the postings' live buffers without a
-        copy; appends past the snapshot watermark migrate a posting to
-        fresh writable buffers on demand.  A length whose intern table
+        Each length's columns become its CSR table without a copy; only
+        the keys are sorted, so exports in key order and older ones in
+        posting-creation order both restore.  A length whose intern table
         references a stream no longer in the database is skipped — it
         rebuilds lazily, mirroring the removal-epoch invalidation path.
         Returns the number of length indexes restored.
         """
         restored = 0
         for n_vertices, state in payload.items():
-            names = list(state["stream_names"])
-            if any(name not in self.database for name in names):
+            if any(n not in self.database for n in state["stream_names"]):
                 continue
-            length_index = _LengthIndex(int(n_vertices))
-            length_index._stream_names = names
-            length_index._stream_codes = {
-                name: code for code, name in enumerate(names)
-            }
-            length_index._next_start = {
-                stream_id: int(start)
-                for stream_id, start in dict(state["next_start"]).items()
-            }
-            keys = np.asarray(state["group_keys"], dtype=np.int64)
-            offsets = np.asarray(state["group_offsets"], dtype=np.int64)
-            codes = state["stream_codes"]
-            starts = state["starts"]
-            amplitudes = state["amplitudes"]
-            durations = state["durations"]
-            for g in range(len(keys)):
-                b, e = int(offsets[g]), int(offsets[g + 1])
-                # Route through _posting so the coarse map is registered
-                # exactly as on the live path, then adopt the snapshot
-                # columns as the fresh posting's buffers.
-                posting = length_index._posting(
-                    int(keys[g]), int(n_vertices) - 1
-                )
-                posting.adopt(
-                    codes[b:e], starts[b:e], amplitudes[b:e], durations[b:e]
-                )
-            self._by_length[int(n_vertices)] = length_index
+            self._by_length[int(n_vertices)] = LengthIndex.restore(
+                int(n_vertices), state
+            )
             restored += 1
         self._removal_epoch = self.database.removal_epoch
         return restored
@@ -851,120 +982,9 @@ class StateSignatureIndex:
     def n_postings(self, n_vertices: int) -> int:
         """Number of distinct signatures indexed at a given window length."""
         length_index = self._by_length.get(n_vertices)
-        return 0 if length_index is None else len(length_index.postings)
+        return 0 if length_index is None else length_index.n_postings
 
     def n_windows(self, n_vertices: int) -> int:
         """Number of windows indexed at a given window length."""
         length_index = self._by_length.get(n_vertices)
         return 0 if length_index is None else length_index.n_windows
-
-
-# -- standalone bulk posting scans ---------------------------------------------
-#
-# The two generators below serve the same (key, CandidateSet) groups as
-# StateSignatureIndex.posting_groups without a live index: one straight
-# from a snapshot's exported posting buffers (the mmap'd ``idx-*``
-# columns — zero signature work), one recomputed from raw series (the
-# fallback when a snapshot predates the requested window length).  Both
-# iterate in the same deterministic sorted-key order.
-
-
-def buffer_posting_groups(
-    state: dict[str, object],
-) -> Iterator[tuple[int, CandidateSet]]:
-    """Groups from one length's :meth:`~StateSignatureIndex.export_buffers`
-    payload (typically the memory-mapped ``idx-*`` snapshot columns).
-
-    The columns are consumed as zero-copy slices: candidate features may
-    be read-only views of the mmap, which is exactly what batch distance
-    kernels want.  Keys are yielded ascending (exports preserve posting
-    creation order, not key order, so this sorts).
-    """
-    names = np.asarray(list(state["stream_names"]), dtype=object)
-    keys = np.asarray(state["group_keys"], dtype=np.int64)
-    offsets = np.asarray(state["group_offsets"], dtype=np.int64)
-    codes = state["stream_codes"]
-    starts = state["starts"]
-    amplitudes = state["amplitudes"]
-    durations = state["durations"]
-    for g in np.argsort(keys, kind="stable"):
-        b, e = int(offsets[g]), int(offsets[g + 1])
-        yield (
-            int(keys[g]),
-            CandidateSet(
-                codes=np.asarray(codes[b:e]),
-                names=names,
-                starts=np.asarray(starts[b:e]),
-                amplitudes=amplitudes[b:e],
-                durations=durations[b:e],
-            ),
-        )
-
-
-def series_posting_groups(
-    streams: Iterable[tuple[str, "object"]], n_vertices: int
-) -> Iterator[tuple[int, CandidateSet]]:
-    """Groups recomputed directly from ``(stream_id, PLRSeries)`` pairs.
-
-    The from-scratch counterpart of :func:`buffer_posting_groups` for
-    window lengths a snapshot's index buffers don't cover (or for volatile
-    stores with no index at all).  Streams shorter than ``n_vertices``
-    contribute no windows; ordering and group contents match what a fresh
-    :class:`StateSignatureIndex` would serve for the same streams.
-    """
-    m = n_vertices
-    if m < 2:
-        raise ValueError("windows need at least 2 vertices")
-    n_segments = m - 1
-    stream_names: list[str] = []
-    by_key: dict[int, list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]] = {}
-    for stream_id, series in streams:
-        last = len(series) - m
-        if last < 0:
-            continue
-        code = len(stream_names)
-        stream_names.append(stream_id)
-        region = slice(0, last + n_segments)
-        windows = sliding_window_view(series.states[region], n_segments)
-        amp = sliding_window_view(series.amplitudes[region], n_segments)
-        dur = sliding_window_view(series.durations[region], n_segments)
-        keys = _window_keys(windows)
-        order = np.argsort(keys, kind="stable")
-        previous: int | None = None
-        block: list[int] = []
-        for i in order:
-            key = keys[i]
-            if key != previous and block:
-                by_key.setdefault(previous, []).append(
-                    (code, np.asarray(block), amp, dur)
-                )
-                block = []
-            previous = key
-            block.append(int(i))
-        if block:
-            by_key.setdefault(previous, []).append(
-                (code, np.asarray(block), amp, dur)
-            )
-    names = np.asarray(stream_names, dtype=object)
-    for key in sorted(by_key):
-        parts = by_key[key]
-        group_codes = np.concatenate(
-            [np.full(len(rows), code, dtype=np.int32) for code, rows, _, _ in parts]
-        )
-        group_starts = np.concatenate(
-            [rows.astype(np.int64) for _, rows, _, _ in parts]
-        )
-        yield (
-            key,
-            CandidateSet(
-                codes=group_codes,
-                names=names,
-                starts=group_starts,
-                amplitudes=np.concatenate(
-                    [amp[rows] for _, rows, amp, _ in parts]
-                ),
-                durations=np.concatenate(
-                    [dur[rows] for _, rows, _, dur in parts]
-                ),
-            ),
-        )

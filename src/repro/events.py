@@ -43,6 +43,7 @@ from typing import Any, Callable, Mapping
 __all__ = [
     "Event",
     "EventBus",
+    "UnknownTagError",
     "decode_event",
     "decode_value",
     "encode_event",
@@ -50,6 +51,11 @@ __all__ = [
 ]
 
 _TAG = "__repro__"
+
+
+class UnknownTagError(ValueError):
+    """An envelope names a tag the codec does not know: the payload is
+    corrupt, or came from a program with a different codec."""
 
 # Filled lazily by _codec_types(): events.py sits below core/ and obs/
 # in the import graph (both import this module), so the payload
@@ -281,7 +287,7 @@ def decode_value(value: Any) -> Any:
         _, decoders = _codec_types()
         decoder = decoders.get(tag)
         if decoder is None:
-            raise ValueError(f"unknown event envelope tag: {tag!r}")
+            raise UnknownTagError(f"unknown event envelope tag: {tag!r}")
         return decoder(value)
     return value
 

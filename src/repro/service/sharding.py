@@ -76,7 +76,14 @@ import numpy as np
 from ..core.matching import Match, PartialTopK, QueryView, match_sort_key
 from ..core.model import PLRSeries
 from ..database.store import MotionDatabase
-from ..events import EventBus, decode_event, decode_value, encode_event, encode_value
+from ..events import (
+    EventBus,
+    UnknownTagError,
+    decode_event,
+    decode_value,
+    encode_event,
+    encode_value,
+)
 from ..obs.exposition import registry_snapshot_from_payload, snapshot_payload
 from ..obs.telemetry import Telemetry, default_telemetry
 from .builder import PipelineBuilder
@@ -175,6 +182,29 @@ def _recv_frame(reader) -> dict:
             f"frame body is a JSON {type(frame).__name__}, not an object"
         )
     return frame
+
+
+def _decode_reply(reply: dict) -> dict:
+    """Decode a reply's tagged payloads (matches, predictions, events) in
+    place, so that a reply that cannot be decoded takes the crash path
+    (:class:`WireCorrupt`) before the caller applies any of the
+    exchange.  Query views stay encoded: they are forwarded as they are.
+    """
+    try:
+        for entry in reply.get("refreshed", []) + reply.get("results", []):
+            entry["matches"] = decode_value(entry["matches"])
+        if "matches" in reply:
+            reply["matches"] = decode_value(reply["matches"])
+        if "predictions" in reply:
+            reply["predictions"] = {
+                sid: decode_value(encoded)
+                for sid, encoded in reply["predictions"].items()
+            }
+        if "events" in reply:
+            reply["events"] = [decode_event(e) for e in reply["events"]]
+    except UnknownTagError as exc:
+        raise WireCorrupt(f"undecodable reply: {exc}") from None
+    return reply
 
 
 # -- consistent-hash router ----------------------------------------------------
@@ -724,7 +754,9 @@ class ShardCoordinator:
         replies: dict[int, dict] = {}
         for shard in sent:
             try:
-                replies[shard] = _recv_frame(self._readers[shard])
+                replies[shard] = _decode_reply(
+                    _recv_frame(self._readers[shard])
+                )
             except (OSError, WireEOF):
                 # EOF for a clean death; ECONNRESET for a hard kill.
                 crashed = shard
@@ -743,7 +775,7 @@ class ShardCoordinator:
     def _request(self, shard: int, request: dict) -> dict:
         try:
             _send_frame(self._socks[shard], request)
-            reply = _recv_frame(self._readers[shard])
+            reply = _decode_reply(_recv_frame(self._readers[shard]))
         except (OSError, WireEOF):
             raise WorkerCrashed(shard) from None
         return self._check_reply(shard, reply)
@@ -885,9 +917,8 @@ class ShardCoordinator:
                 "local": entry["matches"],
             }
 
-    def _publish_events(self, envelopes: list[dict]) -> None:
-        for envelope in envelopes:
-            event = decode_event(envelope)
+    def _publish_events(self, events: list) -> None:
+        for event in events:
             self.events.publish(event.kind, **event.data)
 
     def _complete_pending(self) -> None:
@@ -923,7 +954,7 @@ class ShardCoordinator:
                 self._c_scatter.inc(len(requests))
             for shard, reply in replies.items():
                 for result in reply["results"]:
-                    matches = decode_value(result["matches"])
+                    matches = result["matches"]
                     for match in matches:
                         owner_of[match.stream_id] = shard
                     partials[result["qid"]].append(
@@ -936,7 +967,7 @@ class ShardCoordinator:
         merged_of: dict[str, list[Match]] = {}
         for sid, entry in pending.items():
             home = entry["shard"]
-            local = PartialTopK(matches=tuple(decode_value(entry["local"])))
+            local = PartialTopK(matches=tuple(entry["local"]))
             merged = PartialTopK.merge(
                 [local, *partials[sid]], max_matches=max_matches
             )
@@ -1028,10 +1059,7 @@ class ShardCoordinator:
         )
         by_stream: dict[str, np.ndarray | None] = {}
         for reply in replies.values():
-            for sid, encoded in reply["predictions"].items():
-                by_stream[sid] = (
-                    None if encoded is None else decode_value(encoded)
-                )
+            by_stream.update(reply["predictions"])
             self._publish_events(reply["events"])
         if crashed is not None:
             raise WorkerCrashed(crashed)
@@ -1091,7 +1119,7 @@ class ShardCoordinator:
         reply = self._request(
             shard, {"op": "get_matches", "stream_id": stream_id}
         )
-        return decode_value(reply["matches"])
+        return reply["matches"]
 
     def stream_length(self, stream_id: str) -> int:
         """Committed-vertex count of one tenant's live series."""

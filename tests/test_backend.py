@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +16,8 @@ from repro.database.backend import (
     create_backend,
 )
 from repro.core.matching import SubsequenceMatcher
+from repro.database.index import StateSignatureIndex
+from repro.testing.oracle import check_equivalence, reference_matches
 from repro.core.model import BreathingState, Vertex
 from repro.core.online import OnlineSessionConfig
 from repro.core.prediction import _PLAN_TAIL_COLUMNS, build_prediction_plan
@@ -400,6 +403,109 @@ class TestCompaction:
         assert len(seen) == 1
         assert seen[0]["snapshot_id"] == 1
         assert seen[0]["n_streams"] == 2
+
+
+def _compacted_with_index(directory):
+    """A compacted two-stream store whose snapshot exports one index
+    length; returns a query of that length on ``PA/S00``."""
+    db = _populate(LoggedBackend(directory))
+    query = db.stream("PA/S00").series.subsequence(0, 4)
+    index = StateSignatureIndex(db)
+    index.candidates(query.segment_states)
+    db.compact(index=index)
+    db.close()
+    return query
+
+
+def _index_file(directory, suffix):
+    snap_dir = directory / "snapshots" / "snap-000001"
+    manifest = json.loads((snap_dir / "snapshot.json").read_text())
+    (entry,) = manifest["index"]
+    return snap_dir / f"{entry['prefix']}-{suffix}.npy"
+
+
+def _zero_body(path):
+    """Zero every byte after the ``.npy`` header, which stays intact."""
+    size = path.stat().st_size
+    body = np.load(path).nbytes
+    with open(path, "r+b") as handle:
+        handle.seek(size - body)
+        handle.write(bytes(body))
+
+
+def _code_out_of_range(path):
+    codes = np.load(path, mmap_mode="r+")
+    codes[:] = 2  # the intern table holds two streams
+    codes.flush()
+    del codes
+
+
+class TestIndexBufferChecks:
+    """Damaged ``idx-*`` buffers are rejected on reopen and their length
+    rebuilds, instead of serving wrong candidates."""
+
+    @pytest.mark.parametrize(
+        "suffix, damage",
+        [("offsets", _zero_body), ("codes", _code_out_of_range)],
+        ids=["zeroed-offsets", "code-out-of-range"],
+    )
+    def test_damaged_length_rebuilds(self, tmp_path, suffix, damage):
+        query = _compacted_with_index(tmp_path)
+        damage(_index_file(tmp_path, suffix))
+
+        backend = LoggedBackend(tmp_path)
+        reopened = MotionDatabase(backend=backend)
+        matcher = SubsequenceMatcher(reopened)
+        engine = matcher.find_matches(query, "PA/S00", threshold=math.inf)
+        oracle = reference_matches(
+            reopened, query, "PA/S00", threshold=math.inf
+        )
+        assert len(oracle) > 0
+        check_equivalence(engine, oracle)
+        assert backend.reopen_stats["index_lengths_rejected"] == 1
+        assert backend.reopen_stats["index_lengths_loaded"] == 0
+        reopened.close()
+
+    def test_intact_buffers_are_adopted(self, tmp_path):
+        _compacted_with_index(tmp_path)
+        backend = LoggedBackend(tmp_path)
+        reopened = MotionDatabase(backend=backend)
+        assert backend.reopen_stats["index_lengths_rejected"] == 0
+        assert backend.reopen_stats["index_lengths_loaded"] == 1
+        reopened.close()
+
+    def test_snapshot_files_are_synced_before_the_snapshot_commits(
+        self, tmp_path, monkeypatch
+    ):
+        """Every column file and the snapshot directory are fsynced
+        before ``snapshot.json`` is written."""
+        db = _populate(LoggedBackend(tmp_path))
+        index = StateSignatureIndex(db)
+        query = db.stream("PA/S00").series.subsequence(0, 4)
+        index.candidates(query.segment_states)
+        synced = []
+        fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append(os.fstat(fd).st_ino)
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        db.compact(index=index)
+        monkeypatch.undo()
+        db.close()
+
+        first = {}
+        for position, inode in enumerate(synced):
+            first.setdefault(inode, position)
+        snap_dir = tmp_path / "snapshots" / "snap-000001"
+        committed_at = first[(snap_dir / "snapshot.json").stat().st_ino]
+        files = sorted(snap_dir.glob("*.npy"))
+        assert any(path.name.startswith("idx-") for path in files)
+        for path in [*files, snap_dir]:
+            inode = path.stat().st_ino
+            assert inode in first, f"{path.name} never fsynced"
+            assert first[inode] < committed_at, path.name
 
 
 def _history() -> dict:

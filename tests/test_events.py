@@ -137,7 +137,13 @@ from hypothesis import strategies as st
 
 from repro.core.matching import Match, SourceRelation
 from repro.core.model import BreathingState, Vertex
-from repro.events import decode_event, decode_value, encode_event, encode_value
+from repro.events import (
+    UnknownTagError,
+    decode_event,
+    decode_value,
+    encode_event,
+    encode_value,
+)
 from repro.obs import Telemetry
 from repro.obs.telemetry import TelemetrySnapshot
 
@@ -326,3 +332,9 @@ class TestEventEnvelopePortability:
     def test_live_object_payloads_are_rejected(self):
         with pytest.raises(TypeError):
             encode_value(object())
+
+    def test_unknown_tag_raises_a_typed_value_error(self):
+        envelope = {"kind": "alarm", "data": {"x": {"__repro__": "bogus"}}}
+        with pytest.raises(UnknownTagError, match="bogus"):
+            decode_event(envelope)
+        assert issubclass(UnknownTagError, ValueError)

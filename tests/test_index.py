@@ -6,18 +6,23 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.core.model import Vertex
+from repro.core.model import PLRSeries, Vertex
 from repro.database.index import (
     MAX_RADIX_SEGMENTS,
     N_STATES,
     StateSignatureIndex,
+    _coarse_key,
+    _coarse_keys,
+    _key_states,
     _window_keys,
+    collapse_signature,
     decode_signature,
     encode_signature,
 )
 from repro.database.store import MotionDatabase
 
 from conftest import EOE, EX, IN, make_series
+from tests_support import regroup_index_buffers
 
 
 def brute_force(db, signature):
@@ -179,6 +184,27 @@ class TestSignatureEncoding:
                 )
                 assert window_key == key
 
+    def test_vectorised_decode_and_collapse_agree_with_scalar(self):
+        """``_key_states`` inverts the keys, and ``_coarse_keys`` (and its
+        one-query form ``_coarse_key``) gives two rows one key exactly
+        when ``collapse_signature`` agrees, at every width and across
+        widths."""
+        rng = np.random.default_rng(16)
+        coarse_of, collapsed_of = {}, {}
+        for n_segments in range(71):
+            # Two states only, so that many rows collapse alike.
+            states = rng.integers(0, 2, (40, n_segments)).astype(np.int8)
+            states[0] = N_STATES - 1
+            keys = _window_keys(states)
+            np.testing.assert_array_equal(
+                _key_states(keys, n_segments), states
+            )
+            for row, coarse in zip(states, _coarse_keys(states).tolist()):
+                collapsed = collapse_signature(row)
+                assert coarse_of.setdefault(collapsed, coarse) == coarse
+                assert collapsed_of.setdefault(coarse, collapsed) == collapsed
+                assert _coarse_key(row) == (coarse, len(collapsed))
+
     def test_ndarray_and_tuple_agree(self):
         signature = (1, 2, 0, 2)
         assert encode_signature(
@@ -267,6 +293,56 @@ class TestIncrementality:
         after = all_candidates(index, signature)
         assert after == brute_force(db, signature)
         assert len(after) > len(got)
+
+
+class TestCoarseGroups:
+    def _expected(self, db, query, m):
+        """Exact-signature groups of ``m``-vertex windows collapsing like
+        ``query``, as ``{states: [(stream, start), ...]}``."""
+        groups = {}
+        for record in db.iter_streams():
+            states = record.series.states
+            for start in range(len(record.series) - m + 1):
+                window = tuple(int(s) for s in states[start : start + m - 1])
+                if collapse_signature(window) == collapse_signature(query):
+                    groups.setdefault(window, []).append(
+                        (record.stream_id, start)
+                    )
+        return {k: sorted(v) for k, v in groups.items()}
+
+    def _got(self, index, query, m):
+        return {
+            states: sorted(
+                zip((str(s) for s in cands.stream_ids), cands.starts)
+            )
+            for states, cands in index.coarse_groups(query, m)
+        }
+
+    def test_keys_arriving_after_the_first_warped_lookup(self):
+        """Several keys new to a length in one catch-up, after its coarse
+        column was built (here on an empty store), all join their
+        collapsed classes, whatever order they arrive in."""
+        db = MotionDatabase()
+        db.add_patient("PA")
+        index = StateSignatureIndex(db)
+        assert index.coarse_groups((int(IN),), 2) == []
+        series = PLRSeries()
+        for t, state in enumerate((IN, EOE, IN, IN, EX, EOE)):
+            series.append(Vertex(float(t + 1), (float(t % 2),), state))
+        db.add_stream("PA", "S00", series=series)
+        queries = {(int(s),) for s in series.states}
+        assert len(queries) > 2
+        for query in sorted(queries):
+            assert self._got(index, query, 2) == self._expected(db, query, 2)
+
+    def test_groups_are_exact_signatures_in_key_order(self, db):
+        index = StateSignatureIndex(db)
+        query = (int(IN), int(EX), int(EOE))
+        groups = index.coarse_groups(query, 5)
+        assert [states for states, _ in groups] == sorted(
+            (states for states, _ in groups), key=encode_signature
+        )
+        assert self._got(index, query, 5) == self._expected(db, query, 5)
 
 
 class TestBufferRoundTrip:
@@ -386,6 +462,46 @@ class TestBufferRoundTrip:
         assert restored.restore_buffers(buffers) == 0
         # The skipped length rebuilds lazily and stays correct.
         assert all_candidates(restored, signature) == brute_force(db, signature)
+
+    def test_creation_order_export_restores_like_a_sorted_one(
+        self, db, tmp_path
+    ):
+        """Older snapshots list posting groups in creation order: one
+        restores to the same candidates as the key-sorted export, and
+        exports the key-sorted layout again."""
+        original = StateSignatureIndex(db)
+        lengths = (3, 4, 5)
+        for m in lengths:
+            for signature in self._signatures(db, m):
+                original.candidates(signature)
+        exported = original.export_buffers()
+        creation_order = {
+            m: regroup_index_buffers(
+                state, np.arange(len(state["group_keys"]))[::-1]
+            )
+            for m, state in exported.items()
+        }
+        (tmp_path / "sorted").mkdir()
+        (tmp_path / "creation").mkdir()
+        from_sorted = StateSignatureIndex(db)
+        from_sorted.restore_buffers(
+            self._mmap_round_trip(exported, tmp_path / "sorted")
+        )
+        from_creation = StateSignatureIndex(db)
+        from_creation.restore_buffers(
+            self._mmap_round_trip(creation_order, tmp_path / "creation")
+        )
+        reexported = from_creation.export_buffers()
+        for m in lengths:
+            assert len(exported[m]["group_keys"]) > 1
+            for signature in self._signatures(db, m):
+                assert all_candidates(
+                    from_creation, signature
+                ) == all_candidates(from_sorted, signature)
+            for field in self.ARRAY_FIELDS:
+                np.testing.assert_array_equal(
+                    reexported[m][field], exported[m][field]
+                )
 
     def test_bytes_keyed_lengths_are_not_exported(self):
         db = MotionDatabase()

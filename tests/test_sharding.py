@@ -537,6 +537,16 @@ def _frame(body: bytes) -> bytes:
     return struct.pack(">I", len(body)) + body
 
 
+#: A parseable tick reply whose one relayed event carries a payload tag
+#: no codec knows.
+_UNKNOWN_TAG_TICK_REPLY = {
+    "ok": True,
+    "committed": {},
+    "refreshed": [],
+    "events": [{"kind": "alarm", "data": {"x": {"__repro__": "bogus"}}}],
+}
+
+
 class TestWireFrames:
     def test_valid_frame_round_trips(self):
         obj = {"op": "tick", "t": 0.1, "samples": {"PA/T00": [1.5, -2.25]}}
@@ -573,12 +583,18 @@ class TestWireFrames:
 
     @pytest.mark.parametrize(
         "garbage",
-        [b"\xff\xff\xff\xff", _frame(b"\xff\xfe\xfd\xfc")],
-        ids=["oversized-prefix", "garbled-body"],
+        [
+            b"\xff\xff\xff\xff",
+            _frame(b"\xff\xfe\xfd\xfc"),
+            _frame(json.dumps(_UNKNOWN_TAG_TICK_REPLY).encode("utf-8")),
+        ],
+        ids=["oversized-prefix", "garbled-body", "unknown-tag"],
     )
     def test_corrupt_reply_recovers_byte_identically(self, tmp_path, garbage):
         """A corrupt reply takes the crash path: respawn, journal replay
-        and frame-log re-feed, then serving stays byte-identical."""
+        and frame-log re-feed, then serving stays byte-identical.  A
+        well-formed reply whose payload names an unknown envelope tag is
+        corrupt too, and none of it is applied."""
         db, raws = build_fleet()
         builder = PipelineBuilder.from_session_config(OnlineSessionConfig())
         p_solo, m_solo = serve_single_process(db, raws, builder)

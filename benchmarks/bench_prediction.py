@@ -1,27 +1,27 @@
-"""Prediction-serving benchmark: scalar loop vs vectorised plan engine.
+"""Prediction-serving benchmark: the scalar oracle vs the one kernel.
 
 Isolates the prediction path (Section 4.3 serving) from the rest of the
-pipeline and times four ways of answering "where will the patient be
+pipeline and times three ways of answering "where will the patient be
 ``h`` seconds from now":
 
 * **scalar** — :func:`repro.testing.oracle.reference_prediction`, the
-  frozen one-match-at-a-time Python loop (the pre-vectorisation
-  semantics, kept as the byte-identity oracle),
-* **plan_serve** — :meth:`~repro.core.prediction.PredictionPlan.serve`,
-  one vectorised dispatch per horizon over the packed match buffers,
-* **plan_serve_many** —
-  :meth:`~repro.core.prediction.PredictionPlan.serve_many`, the whole
-  horizon grid in a single ``(H, n_matches)`` dispatch,
+  frozen one-match-at-a-time Python loop (the byte-identity oracle),
+* **plan_serve** — a one-row :class:`~repro.core.prediction.PlanStack`
+  over one session's plan, served once per horizon: what a solo
+  session's ``predict_at`` and ``OnlinePredictor.predict`` run,
 * **fleet** — :meth:`~repro.service.manager.SessionManager.predict_ahead_all`,
-  every tenant's plan stacked into one columnar dispatch per tick,
-  compared against per-tenant ``predict_ahead`` calls on the same
-  sessions.
+  every tenant's plan one row of a stack served once per tick,
+  compared against per-tenant ``predict_ahead`` calls (one-row stacks)
+  on the same sessions.
 
-Every vectorised result is asserted **byte-identical**
-(``np.array_equal``) to the scalar loop before any timing is reported —
-a speedup that changes the answer would not be a speedup.
+Every served result is asserted **byte-identical** (``np.array_equal``)
+to the scalar oracle before any timing is reported — a speedup that
+changes the answer would not be a speedup.  The fleet leg checks every
+row against the oracle as well as against the per-tenant serve, outside
+the timed region.
 
-Writes ``BENCH_prediction.json`` at the repo root.
+Writes ``BENCH_prediction.json`` at the repo root (full mode), with the
+host the timings were taken on.
 
 Run from the repo root::
 
@@ -38,8 +38,10 @@ from pathlib import Path
 
 import numpy as np
 
+from bench_index_scaling import host_record
 from repro.analysis.experiments import CohortConfig, build_cohort
 from repro.core.online import OnlineAnalysisSession, OnlineSessionConfig
+from repro.core.prediction import PlanStack
 from repro.service.manager import SessionManager
 from repro.signals.respiratory import RespiratorySimulator, SessionConfig
 from repro.testing.oracle import reference_prediction
@@ -78,27 +80,26 @@ def live_session(db, profile, duration: float):
 
 
 def single_plan_section(db, session, horizons, reps: int) -> dict:
-    """Scalar loop vs plan serve vs grid serve on one session's matches."""
+    """Scalar oracle vs one-row stack serves on one session's matches."""
     query = session.query
     matches = session.matches
     params = session.config.similarity
     predictor = session.predictor
 
     plan = predictor.build_plan(query, matches, params=params)
+    stack = PlanStack([plan], [1])
+    rows = [np.array([h]) for h in horizons]
 
     # -- byte-identity gate -------------------------------------------------
-    scalar_results = [
-        reference_prediction(db, query, matches, h, params=params)
-        for h in horizons
-    ]
-    plan_results = [plan.serve(h)[0] for h in horizons]
-    grid_results = plan.serve_many(horizons)
-    for s, p, g in zip(scalar_results, plan_results, grid_results):
-        if s is None:
-            assert p is None and g is None
+    for h, row in zip(horizons, rows):
+        expected = reference_prediction(db, query, matches, h, params=params)
+        served, _, positions = stack.serve(row)
+        if expected is None:
+            assert not served[0], "one-row serve answered an oracle decline"
             continue
-        assert np.array_equal(s, p), "plan.serve diverged from scalar loop"
-        assert np.array_equal(s, g), "serve_many diverged from scalar loop"
+        assert served[0] and np.array_equal(expected, positions[0]), (
+            "one-row serve diverged from the scalar oracle"
+        )
 
     # -- timings ------------------------------------------------------------
     t0 = time.perf_counter()
@@ -109,21 +110,21 @@ def single_plan_section(db, session, horizons, reps: int) -> dict:
 
     t0 = time.perf_counter()
     for _ in range(reps):
-        for h in horizons:
-            plan.serve(h)
+        for row in rows:
+            stack.serve(row)
     serve_s = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        plan.serve_many(horizons)
-    grid_s = time.perf_counter() - t0
-
-    # Build cost is paid once per match refresh, not per serve — report
-    # it separately so the amortisation argument is checkable.
+    # Build costs are paid once per match refresh, not per serve —
+    # report them separately so the amortisation argument is checkable.
     t0 = time.perf_counter()
     for _ in range(reps):
         predictor.build_plan(query, matches, params=params)
     build_s = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    for _ in range(reps):
+        PlanStack([plan], [1])
+    stack_s = time.perf_counter() - t0
 
     n_serves = reps * len(horizons)
     return {
@@ -132,10 +133,9 @@ def single_plan_section(db, session, horizons, reps: int) -> dict:
         "reps": reps,
         "scalar_serves_per_s": n_serves / scalar_s,
         "plan_serves_per_s": n_serves / serve_s,
-        "grid_serves_per_s": n_serves / grid_s,
         "plan_builds_per_s": reps / build_s,
+        "stack_builds_per_s": reps / stack_s,
         "speedup_plan_vs_scalar": scalar_s / serve_s,
-        "speedup_grid_vs_scalar": scalar_s / grid_s,
         "identical_predictions": True,  # asserted above
     }
 
@@ -156,8 +156,8 @@ def fleet_section(db, profiles, duration: float, n_ticks: int) -> dict:
     warmup = len(times) - n_ticks
     solo_s = 0.0
     fleet_s = 0.0
-    identical = True
     served_frames = 0
+    n_served = 0
     for i, t in enumerate(times):
         manager.tick(
             float(t), {sid: raw.values[i] for sid, raw in raws.items()}
@@ -176,20 +176,47 @@ def fleet_section(db, profiles, duration: float, n_ticks: int) -> dict:
         served_frames += len(raws)
         for sid in raws:
             a, b = solo[sid], batched[sid]
-            if (a is None) != (b is None) or (
-                a is not None and not np.array_equal(a, b)
-            ):
-                identical = False
+            expected = oracle_at(manager.session(sid), float(t) + LATENCY)
+            assert (a is None) == (b is None) == (expected is None), (
+                f"{sid}: serve and decline disagree at tick {i}"
+            )
+            if b is not None:
+                n_served += 1
+                assert np.array_equal(a, b), (
+                    "fleet dispatch diverged from per-tenant serves"
+                )
+                assert np.array_equal(b, expected), (
+                    "fleet dispatch diverged from the scalar oracle"
+                )
     manager.close(keep_streams=False)
-    assert identical, "fleet dispatch diverged from per-tenant serves"
     return {
         "n_tenants": len(raws),
         "n_ticks_timed": n_ticks,
+        "n_served_rows_checked": n_served,
         "solo_frames_per_s": served_frames / solo_s,
         "fleet_frames_per_s": served_frames / fleet_s,
         "speedup_fleet_vs_solo": solo_s / fleet_s,
-        "identical_predictions": identical,
+        "identical_predictions": True,  # asserted above
     }
+
+
+def oracle_at(session, target: float):
+    """``reference_prediction`` over ``session``'s matches at ``target``.
+
+    ``target`` is the latest sample's time plus the latency, so it lies
+    past the session's last vertex.
+    """
+    if session.query is None or not session.matches:
+        return None
+    return reference_prediction(
+        session.db,
+        session.query,
+        session.matches,
+        target - session.ingestor.series.end_time,
+        params=session.config.similarity,
+        min_matches=session.config.min_matches,
+        anchor=session.predictor.anchor,
+    )
 
 
 def run(quick: bool) -> dict:
@@ -217,6 +244,7 @@ def run(quick: bool) -> dict:
         "benchmark": "bench_prediction",
         "mode": "quick" if quick else "full",
         "python": platform.python_version(),
+        "host": host_record(),
         "single_plan": single,
         "fleet": fleet,
     }
@@ -237,17 +265,17 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"single plan ({single['n_matches']} matches): "
         f"scalar {single['scalar_serves_per_s']:.0f}/s, "
-        f"plan {single['plan_serves_per_s']:.0f}/s "
-        f"({single['speedup_plan_vs_scalar']:.1f}x), "
-        f"grid {single['grid_serves_per_s']:.0f}/s "
-        f"({single['speedup_grid_vs_scalar']:.1f}x)"
+        f"one-row stack {single['plan_serves_per_s']:.0f}/s "
+        f"({single['speedup_plan_vs_scalar']:.1f}x); builds: "
+        f"plan {single['plan_builds_per_s']:.0f}/s, "
+        f"stack {single['stack_builds_per_s']:.0f}/s"
     )
     print(
         f"fleet ({fleet['n_tenants']} tenants): "
         f"per-tenant {fleet['solo_frames_per_s']:.0f} f/s, "
         f"batched {fleet['fleet_frames_per_s']:.0f} f/s "
-        f"({fleet['speedup_fleet_vs_solo']:.2f}x), identical: "
-        f"{fleet['identical_predictions']}"
+        f"({fleet['speedup_fleet_vs_solo']:.2f}x), identical to the "
+        f"oracle on {fleet['n_served_rows_checked']} served rows"
     )
     if payload["mode"] == "full":
         OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")

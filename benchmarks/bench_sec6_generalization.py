@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.core.framework import StructuredMotionAnalyzer
+from repro.core.prediction import PlanStack
 from repro.signals.domains import (
     heartbeat_signal,
     heartbeat_spec,
@@ -70,10 +71,12 @@ def _evaluate_domain(spec_factory, generate, horizon):
             for m in analyzer.matcher.find_matches(window, live_id)
             if m.stream_id != live_id or m.start + m.n_vertices <= end
         ]
-        matches = analyzer.predictor.with_known_future(matches, horizon)
-        if matches:
-            predicted = analyzer.predictor.combine(window, matches, horizon)
-            match_errors.append(float(np.linalg.norm(predicted - actual)))
+        plan = analyzer.predictor.build_plan(window, matches)
+        served, _, predicted = PlanStack([plan], [1]).serve(
+            np.array([horizon])
+        )
+        if served[0]:
+            match_errors.append(float(np.linalg.norm(predicted[0] - actual)))
         hold = series.positions[end - 1]
         hold_errors.append(float(np.linalg.norm(hold - actual)))
     return (

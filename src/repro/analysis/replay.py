@@ -10,12 +10,14 @@ positions and PLR values").  All Section 7 prediction experiments
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
 from ..core.model import PLRSeries
+from ..core.prediction import PlanStack
 from ..core.query import QueryConfig, fixed_query, generate_query
 from ..core.similarity import SimilarityParams
 from ..core.segmentation import OnlineSegmenter, SegmenterConfig
@@ -39,7 +41,8 @@ class ReplayConfig:
     Attributes
     ----------
     horizons:
-        Prediction look-aheads in seconds (the paper sweeps 0-300 ms).
+        Prediction look-aheads in seconds (the paper sweeps 0-300 ms);
+        at least one, each finite and ``>= 0``.
     similarity:
         Definition 2 parameters used for matching and weighting.
     query:
@@ -79,6 +82,15 @@ class ReplayConfig:
     use_index: bool = True
     anchor: str = "last"
     prefilter_factory: object = None
+
+    def __post_init__(self) -> None:
+        if not self.horizons:
+            raise ValueError("horizons must name at least one look-ahead")
+        for horizon in self.horizons:
+            if not (math.isfinite(horizon) and horizon >= 0):
+                raise ValueError(
+                    f"horizons must be finite and >= 0, got {horizon!r}"
+                )
 
 
 @dataclass
@@ -179,6 +191,7 @@ def replay_session(
     ingestor = pipeline.ingestor
     matcher = pipeline.matcher
     predictor = pipeline.predictor
+    horizons = np.asarray(config.horizons, dtype=float)
 
     pending: list[tuple[float, float, np.ndarray]] = []
     n_opportunities = 0
@@ -193,8 +206,9 @@ def replay_session(
         if query is None:
             continue
         query_lengths.append(query.n_vertices)
-        # Matches depend only on the query, so retrieve once per vertex
-        # and re-combine per horizon.
+        # Matches depend only on the query, so retrieve and pack them
+        # once per vertex and serve every horizon from one stack (one
+        # row per horizon over the same plan).
         matches = matcher.find_matches(
             query,
             ingestor.stream_id,
@@ -202,15 +216,16 @@ def replay_session(
             max_matches=config.max_matches,
             restrict_patients=config.restrict_patients,
         )
+        plan = predictor.build_plan(query, matches)
+        served, _, positions = PlanStack(
+            [plan] * len(horizons), [config.min_matches] * len(horizons)
+        ).serve(horizons)
         now = query.last_vertex.time
-        for horizon in config.horizons:
-            n_opportunities += 1
-            usable = predictor.with_known_future(matches, horizon)
-            if len(usable) < config.min_matches:
-                continue
-            position = predictor.combine(query, usable, horizon)
-            n_predictions += 1
-            pending.append((horizon, now + horizon, position))
+        n_opportunities += len(horizons)
+        for k, horizon in enumerate(config.horizons):
+            if served[k]:
+                n_predictions += 1
+                pending.append((horizon, now + horizon, positions[k]))
 
     ingestor.finish()
     series = ingestor.series

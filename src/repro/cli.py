@@ -32,11 +32,36 @@ telemetry snapshot (text or ``--json``).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 __all__ = ["main", "build_parser"]
+
+
+def _checked(convert, accept, expected: str):
+    """argparse type: ``convert(text)`` when ``accept`` holds for it;
+    anything else exits 2 with argparse's message."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+# NaN fails every comparison, so the chained bounds also reject it.
+_LOOK_AHEAD = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+_SECONDS = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_AT_LEAST_ONE = _checked(int, lambda v: v >= 1, "an integer >= 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rep.add_argument("snapshot")
     p_rep.add_argument("--patient", required=True)
-    p_rep.add_argument("--duration", type=float, default=45.0)
-    p_rep.add_argument("--horizon", type=float, default=0.2)
+    p_rep.add_argument("--duration", type=_SECONDS, default=45.0)
+    p_rep.add_argument("--horizon", type=_LOOK_AHEAD, default=0.2)
     p_rep.add_argument("--seed", type=int, default=99)
 
     p_srv = sub.add_parser(
@@ -81,13 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
         "multi-tenant session service",
     )
     p_srv.add_argument("snapshot")
-    p_srv.add_argument("--live", type=int, default=3,
+    p_srv.add_argument("--live", type=_AT_LEAST_ONE, default=3,
                        help="number of concurrent live sessions")
-    p_srv.add_argument("--duration", type=float, default=30.0)
-    p_srv.add_argument("--latency", type=float, default=0.2,
+    p_srv.add_argument("--duration", type=_SECONDS, default=30.0)
+    p_srv.add_argument("--latency", type=_LOOK_AHEAD, default=0.2,
                        help="prediction look-ahead in seconds")
     p_srv.add_argument("--seed", type=int, default=99)
-    p_srv.add_argument("--workers", type=int, default=1,
+    p_srv.add_argument("--workers", type=_AT_LEAST_ONE, default=1,
                        help="shard worker processes (1 = in-process "
                        "single-manager serving, the default)")
     p_srv.add_argument("--match-mode", default="rigid",
@@ -155,13 +180,13 @@ def build_parser() -> argparse.ArgumentParser:
         "final telemetry snapshot",
     )
     p_met.add_argument("snapshot")
-    p_met.add_argument("--live", type=int, default=3,
+    p_met.add_argument("--live", type=_AT_LEAST_ONE, default=3,
                        help="number of concurrent live sessions")
-    p_met.add_argument("--duration", type=float, default=30.0)
-    p_met.add_argument("--latency", type=float, default=0.2,
+    p_met.add_argument("--duration", type=_SECONDS, default=30.0)
+    p_met.add_argument("--latency", type=_LOOK_AHEAD, default=0.2,
                        help="prediction look-ahead in seconds")
     p_met.add_argument("--seed", type=int, default=99)
-    p_met.add_argument("--interval", type=float, default=5.0,
+    p_met.add_argument("--interval", type=_SECONDS, default=5.0,
                        help="snapshot publication interval in stream-seconds")
     p_met.add_argument("--json", action="store_true",
                        help="emit the machine-readable JSON exposition")

@@ -34,7 +34,7 @@ from ..events import EventBus
 from ..obs.telemetry import default_telemetry
 from .matching import Match, MatchSet, SubsequenceMatcher
 from .model import Subsequence, Vertex
-from .prediction import PredictionPlan
+from .prediction import PlanStack, PredictionPlan
 from .query import QueryConfig, generate_query
 from .segmentation import SegmenterConfig
 from .similarity import SimilarityParams
@@ -169,6 +169,8 @@ class OnlineAnalysisSession:
         self._query: Subsequence | None = None
         self._matches = MatchSet.empty()
         self._plan: PredictionPlan | None = None
+        # The one-row stack solo serving reads; rebuilt with the plan.
+        self._stack: PlanStack | None = None
         # Bit-exact copies of other shards' historical series, keyed by
         # stream id; populated through adopt_matches() when this session
         # runs inside a shard worker.  Always empty in solo mode.
@@ -312,7 +314,7 @@ class OnlineAnalysisSession:
             if self._plan is not None:
                 # The match set (and the query anchor) just changed, so
                 # the packed buffers no longer describe it.
-                self._plan = None
+                self._plan = self._stack = None
                 if self._t is not None:
                     self._c_plan_invalidations.inc()
             if self._t is not None:
@@ -344,7 +346,7 @@ class OnlineAnalysisSession:
         if foreign_series:
             self._foreign_series.update(foreign_series)
         if self._plan is not None:
-            self._plan = None
+            self._plan = self._stack = None
             if self._t is not None:
                 self._c_plan_invalidations.inc()
         if self._t is not None:
@@ -414,7 +416,7 @@ class OnlineAnalysisSession:
             self._query = generate_query(
                 self.ingestor.series, self.config.query
             )
-        self._plan = None
+        self._plan = self._stack = None
         if self._t is not None:
             self._g_matches.set(len(self._matches))
 
@@ -459,9 +461,11 @@ class OnlineAnalysisSession:
     def predict_at(self, target_time: float) -> np.ndarray | None:
         """Predicted position at an absolute ``target_time``.
 
-        Serves from the cached :meth:`prediction_plan` with the effective
-        horizon ``target_time - last_vertex_time``; returns ``None`` while
-        warming up or when too few matches have a known future.
+        Serves a one-row :class:`~repro.core.prediction.PlanStack`,
+        cached beside the :meth:`prediction_plan` it stacks, at the
+        effective horizon ``target_time - last_vertex_time``; a target
+        inside the observed PLR reads it directly.  Returns ``None``
+        while warming up or when too few matches have a known future.
         """
         if self._t is None:
             return self._predict_at(target_time)
@@ -490,11 +494,15 @@ class OnlineAnalysisSession:
         if horizon < 0:
             # Target inside the already-observed PLR: read it directly.
             return self.ingestor.series.position_at(target_time)
-        position, n_usable = self.prediction_plan().serve(
-            horizon, min_matches=self.config.min_matches
-        )
-        if position is None:
+        plan = self.prediction_plan()
+        stack = self._stack
+        if stack is None or stack.plans[0] is not plan:
+            stack = PlanStack([plan], [self.config.min_matches])
+            self._stack = stack
+        served, counts, positions = stack.serve(np.array([horizon]))
+        if not served[0]:
             return None
+        position = positions[0]
         if self.events is not None:
             self.events.publish(
                 "prediction_served",
@@ -502,7 +510,7 @@ class OnlineAnalysisSession:
                 time=target_time,
                 horizon=horizon,
                 position=position,
-                n_matches=n_usable,
+                n_matches=int(counts[0]),
             )
         return position
 

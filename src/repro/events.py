@@ -340,12 +340,20 @@ class EventBus:
         With ``weak=True`` a bound method is held through
         :class:`weakref.WeakMethod`, so a long-lived bus (a database's)
         does not keep short-lived subscribers (a per-replay index)
-        alive; dead entries are pruned on publish.
+        alive.  Dead entries are pruned on publish and here, so a kind
+        that is rarely published does not keep one dead entry per
+        subscriber that came and went.
         """
         entry = callback
         if weak and hasattr(callback, "__self__"):
             entry = weakref.WeakMethod(callback)
-        self._subscribers.setdefault(kind, []).append(entry)
+        entries = self._subscribers.setdefault(kind, [])
+        entries[:] = [
+            e
+            for e in entries
+            if not (isinstance(e, weakref.WeakMethod) and e() is None)
+        ]
+        entries.append(entry)
         return callback
 
     def unsubscribe(self, kind: str, callback: Callable[[Event], Any]) -> None:

@@ -29,7 +29,7 @@ import numpy as np
 from ..core.matching import SubsequenceMatcher
 from ..core.model import Vertex
 from ..core.online import OnlineAnalysisSession, OnlineSessionConfig
-from ..core.prediction import PredictionPlan
+from ..core.prediction import PlanStack, PredictionPlan
 from ..database.store import MotionDatabase
 from ..events import EventBus
 from ..obs.metrics import DEFAULT_COUNT_BUCKETS
@@ -37,201 +37,6 @@ from ..obs.telemetry import default_telemetry
 from .builder import PipelineBuilder
 
 __all__ = ["SessionManager"]
-
-
-class _FleetDispatch:
-    """Every live tenant's prediction plan laid end to end on one axis.
-
-    Rows are sessions; their matches sit back to back on one flat match
-    axis (``rows[m]`` is match ``m``'s row), so one :meth:`serve`
-    answers every tenant's horizon with array ops over real matches
-    only — the known-future compare, the tail gather and the
-    interpolation never touch padding, however skewed the tenants'
-    match counts are.
-
-    Only the weighted sums need a row structure: they must run strictly
-    left to right per row to stay byte-identical to
-    ``PredictionPlan.serve``.  Each serve scatters the per-match terms
-    (weighted offset, then weight) into zero-filled grids and takes
-    ``np.cumsum`` along each grid row; the cells no match maps to stay
-    exactly ``+0.0``, which a left-to-right sum passes through
-    unchanged.  Rows share a grid by size class (widest first, a row
-    joins while it holds at least half the class's widest row), so the
-    grids hold at most twice the real matches: one wide tenant does not
-    widen every other row.
-
-    The manager caches the dispatch and restacks it only when the set of
-    live plans changes (a tenant's query refresh, open/close).  A
-    restack is one ``np.concatenate`` per column over the plans' own
-    buffers — every plan packs its tail window once, component first,
-    when it is built — so its cost follows the fleet's real match count:
-    about 0.8 ms for 6 tenants holding 7,000 matches between them, on a
-    2-vCPU Xeon host.
-    """
-
-    def __init__(
-        self, sessions: list[OnlineAnalysisSession], plans: list[PredictionPlan]
-    ) -> None:
-        self.sessions = sessions
-        self.plans = plans
-        n_rows = len(plans)
-        sizes = np.asarray([plan.n_matches for plan in plans], dtype=np.intp)
-        #: Row ``r``'s matches sit at ``starts[r]:starts[r + 1]``.
-        self.starts = np.zeros(n_rows + 1, dtype=np.intp)
-        np.cumsum(sizes, out=self.starts[1:])
-        n = int(self.starts[-1])
-        ndim = plans[0].ndim
-        lanes = 1 + ndim
-        self.min_matches = np.asarray(
-            [max(s.config.min_matches, 1) for s in sessions]
-        )
-        # Every per-match column is component first, (..., n): each
-        # elementwise step of a serve then runs over contiguous rows.
-        self.anchors = np.stack([plan.anchor for plan in plans])
-        self.end_times = np.concatenate([plan.end_times for plan in plans])
-        self.series_ends = np.concatenate(
-            [plan.series_ends for plan in plans]
-        )
-        self.weights = np.concatenate([plan.weights for plan in plans])
-        self.refs = np.concatenate([plan.refs.T for plan in plans], axis=1)
-        tail = np.concatenate([plan.tail for plan in plans], axis=2)
-        self.tail_upper = tail[0, 1:]
-        # Vertex k of match m's tail sits at column k * n + m.
-        self._tail_flat = tail.reshape(lanes, -1)
-        self.rows = np.repeat(np.arange(n_rows), sizes)
-        self._match_ids = np.arange(n)
-        # Size classes, widest row first; each is one (lanes, rows,
-        # width) grid in a shared zero-filled cell buffer.
-        classes: list[list[int]] = []
-        for r in np.argsort(-sizes, kind="stable"):
-            if classes and 2 * sizes[r] >= sizes[classes[-1][0]]:
-                classes[-1].append(int(r))
-            else:
-                classes.append([int(r)])
-        widths = [max(int(sizes[rows[0]]), 1) for rows in classes]
-        n_cells = sum(w * len(rows) for rows, w in zip(classes, widths))
-        cell_buf = np.zeros((lanes, n_cells))
-        cum_buf = np.empty_like(cell_buf)
-        first_cell = np.empty(n_rows, dtype=np.intp)
-        self._classes = []
-        stop = 0
-        for rows, width in zip(classes, widths):
-            first_cell[rows] = stop + width * np.arange(len(rows))
-            span = slice(stop, stop + width * len(rows))
-            shape = (lanes, len(rows), width)
-            self._classes.append(
-                (
-                    np.asarray(rows),
-                    cell_buf[:, span].reshape(shape),
-                    cum_buf[:, span].reshape(shape),
-                )
-            )
-            stop = span.stop
-        # Match m's cell: its row's first cell plus its place in the row;
-        # _cell_index addresses every lane's copy in the flat buffer.
-        cells = (
-            first_cell[self.rows] + self._match_ids - self.starts[self.rows]
-        )
-        self._cell_index = (
-            n_cells * np.arange(lanes)[:, None] + cells
-        ).reshape(-1)
-        self._cells_flat = cell_buf.reshape(-1)
-        # Preallocated per-serve workspaces: serve() runs once per frame
-        # for the whole fleet, so every intermediate writes into a fixed
-        # buffer (ufunc ``out=``) instead of allocating.  Only the
-        # returned positions array is freshly allocated per call — the
-        # caller hands out row views that must outlive the next serve.
-        self._b_t = np.empty(n)
-        self._b_usable = np.empty(n, dtype=bool)
-        self._b_not = np.empty(n, dtype=bool)
-        self._b_running = np.zeros(n + 1, dtype=np.intp)
-        self._b_cmp = np.empty_like(self.tail_upper, dtype=bool)
-        self._b_li = np.empty(n, dtype=np.int8)
-        self._b_ls = np.empty(n, dtype=np.int8)
-        self._b_flat = np.empty(n, dtype=np.intp)
-        self._b_g0 = np.empty((lanes, n))
-        self._b_g1 = np.empty((lanes, n))
-        self._b_alpha = np.empty(n)
-        self._b_den = np.empty(n)
-        self._b_over = np.empty(n, dtype=bool)
-        self._b_terms = np.empty((lanes, n))
-        self._b_sums = np.empty((lanes, n_rows))
-
-    def matches_rows(
-        self, sessions: list[OnlineAnalysisSession], plans: list[PredictionPlan]
-    ) -> bool:
-        """True when the cached stack was built from exactly these rows."""
-        return (
-            len(plans) == len(self.plans)
-            and all(a is b for a, b in zip(plans, self.plans))
-            and all(a is b for a, b in zip(sessions, self.sessions))
-        )
-
-    def serve(
-        self, horizons: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Serve row ``s`` at ``horizons[s]`` for every row at once.
-
-        Returns ``(served, counts, positions)``; ``positions[s]`` is
-        only meaningful where ``served[s]`` (enough usable matches).
-        """
-        t = np.take(horizons, self.rows, out=self._b_t)
-        np.add(self.end_times, t, out=t)
-        usable = np.less_equal(t, self.series_ends, out=self._b_usable)
-        running = self._b_running
-        np.cumsum(usable, dtype=np.intp, out=running[1:])
-        counts = running[self.starts[1:]] - running[self.starts[:-1]]
-        served = counts >= self.min_matches
-        # Segment select and gather, as PredictionPlan._futures.
-        n = len(t)
-        n_pairs = self.tail_upper.shape[0]
-        np.less_equal(self.tail_upper, t, out=self._b_cmp)
-        # An int8 count: the tail window is far narrower than 127.
-        li = self._b_cmp.sum(axis=0, dtype=np.int8, out=self._b_li)
-        li_safe = np.minimum(li, n_pairs - 1, out=self._b_ls)
-        flat = np.multiply(li_safe, n, out=self._b_flat, dtype=np.intp)
-        np.add(flat, self._match_ids, out=flat)
-        g0 = self._tail_flat.take(flat, axis=1, mode="clip", out=self._b_g0)
-        np.add(flat, n, out=flat)
-        g1 = self._tail_flat.take(flat, axis=1, mode="clip", out=self._b_g1)
-        t0 = g0[0]
-        p0 = g0[1:]
-        num = np.subtract(t, t0, out=self._b_alpha)
-        den = np.subtract(g1[0], t0, out=self._b_den)
-        alpha = np.divide(num, den, out=self._b_alpha)
-        # Weighted offsets then the weight: one lane per sum.
-        terms = self._b_terms
-        futures = np.subtract(g1[1:], p0, out=terms[:-1])
-        np.multiply(futures, alpha, out=futures)
-        np.add(futures, p0, out=futures)
-        overflow = np.greater(li, n_pairs - 1, out=self._b_over)
-        np.logical_and(overflow, usable, out=overflow)
-        if overflow.any():
-            for m in np.flatnonzero(overflow):
-                row = self.rows[m]
-                futures[:, m] = self.plans[row].match_position_at(
-                    m - self.starts[row], float(t[m])
-                )
-        np.subtract(futures, self.refs, out=futures)
-        np.multiply(futures, self.weights, out=futures)
-        terms[-1] = self.weights
-        unusable = np.logical_not(usable, out=self._b_not)
-        np.copyto(terms, 0.0, where=unusable)
-        self._cells_flat[self._cell_index] = terms.reshape(-1)
-        sums = self._b_sums
-        for rows, grid, cum in self._classes:
-            sums[:, rows] = np.cumsum(grid, axis=2, out=cum)[..., -1]
-        totals = sums[:-1].T
-        weight_sums = sums[-1]
-        if served.all():
-            positions = self.anchors + totals / weight_sums[:, None]
-        else:
-            positions = np.empty_like(self.anchors)
-            rows = np.nonzero(served)[0]
-            positions[rows] = (
-                self.anchors[rows] + totals[rows] / weight_sums[rows, None]
-            )
-        return served, counts, positions
 
 
 class SessionManager:
@@ -309,7 +114,7 @@ class SessionManager:
         #: serves every tenant on this manager (the coordinator dedups
         #: shipping per shard, not per session).
         self._foreign_series: dict = {}
-        self._fleet: _FleetDispatch | None = None
+        self._fleet: PlanStack | None = None
         self._horizons_buf: np.ndarray | None = None
 
     # -- lifecycle --------------------------------------------------------------
@@ -465,9 +270,10 @@ class SessionManager:
 
         The fleet-serving entry point: instead of looping
         :meth:`predict_ahead` per tenant, every session's cached
-        prediction plan is laid end to end on one ragged match axis
-        (cached across calls, restacked only when some tenant's matches
-        changed) and a single vectorised pass serves the whole fleet.
+        prediction plan is one row of a
+        :class:`~repro.core.prediction.PlanStack` (cached across calls,
+        restacked only when some tenant's plan changed) and a single
+        vectorised pass serves the whole fleet.
         Results are byte-identical to the per-tenant calls, and per-session
         counters/events fire exactly as they would individually; the
         batched serve is timed as ``prediction.plan_serve`` instead of
@@ -500,7 +306,6 @@ class SessionManager:
         """Serve one prediction target per tenant via the stacked plans."""
         results: dict[str, np.ndarray | None] = {}
         rows: list[tuple[str, OnlineAnalysisSession, float, float]] = []
-        row_sessions: list[OnlineAnalysisSession] = []
         row_plans: list[PredictionPlan] = []
         epoch = self.database.removal_epoch
         for stream_id, session, target in targets:
@@ -531,7 +336,6 @@ class SessionManager:
                     session._c_predictions.inc()
                 continue
             rows.append((stream_id, session, target, horizon))
-            row_sessions.append(session)
             row_plans.append(plan)
         if not rows:
             return results
@@ -543,8 +347,10 @@ class SessionManager:
         for k in range(n):
             horizons[k] = rows[k][3]
         fleet = self._fleet
-        if fleet is None or not fleet.matches_rows(row_sessions, row_plans):
-            fleet = _FleetDispatch(row_sessions, row_plans)
+        if fleet is None or not fleet.matches_rows(row_plans):
+            fleet = PlanStack(
+                row_plans, [row[1].config.min_matches for row in rows]
+            )
             self._fleet = fleet
         if self.telemetry is None:
             served, counts, positions = fleet.serve(horizons)

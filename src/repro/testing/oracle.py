@@ -21,12 +21,12 @@ algorithms:
   as the windows with no non-trivial match at all.
 * :func:`reference_prediction` — Section 4.3 prediction serving as a
   per-match Python loop: known-future filter, linear-scan interpolation
-  of each match's own future, weighted re-anchored average.  The
-  vectorised :class:`~repro.core.prediction.PredictionPlan` (and the
-  session service's fleet dispatch built on it) must reproduce this
-  **byte-identically** — its reductions are sequential ``cumsum`` for
-  exactly that reason, so the equivalence sweeps assert
-  ``np.array_equal``, not closeness.
+  of each match's own future, weighted re-anchored average.  The one
+  serving kernel, :class:`~repro.core.prediction.PlanStack` (a fleet's
+  rows, a solo session's or ``OnlinePredictor.predict``'s single row),
+  must reproduce this **byte-identically** for every row — its
+  reductions are sequential ``cumsum`` for exactly that reason, so the
+  equivalence sweeps assert ``np.array_equal``, not closeness.
 
 :func:`check_equivalence` is the single entry point both the chaos suite
 and the hypothesis property tests call, so every future performance PR

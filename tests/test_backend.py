@@ -3,7 +3,6 @@
 import json
 import math
 import os
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,13 +16,20 @@ from repro.database.backend import (
 )
 from repro.core.matching import SubsequenceMatcher
 from repro.database.index import StateSignatureIndex
-from repro.testing.oracle import check_equivalence, reference_matches
+from repro.testing.oracle import (
+    check_equivalence,
+    reference_matches,
+    reference_prediction,
+)
 from repro.core.model import BreathingState, Vertex
-from repro.core.online import OnlineSessionConfig
-from repro.core.prediction import _PLAN_TAIL_COLUMNS, build_prediction_plan
+from repro.core.prediction import (
+    _PLAN_TAIL_COLUMNS,
+    OnlinePredictor,
+    PlanStack,
+    build_prediction_plan,
+)
 from repro.database.ingest import StreamIngestor
 from repro.database.store import MotionDatabase
-from repro.service.manager import _FleetDispatch
 from repro.signals.patients import PatientAttributes
 
 from conftest import make_series
@@ -588,14 +594,18 @@ class TestReopenedLazySeries:
         horizon = 15.0
         gaps = np.diff(history["PA/S00"].times)
         assert horizon > _PLAN_TAIL_COLUMNS * gaps.max()
-        expected, n_expected = build_prediction_plan(
-            never_closed, query, matches, matcher.params
-        ).serve(horizon)
+        expected = reference_prediction(
+            never_closed, query, matches, horizon, params=matcher.params
+        )
         assert expected is not None
+        n_expected = len(
+            OnlinePredictor(never_closed, matcher).with_known_future(
+                matches, horizon
+            )
+        )
         plan = build_prediction_plan(reopened, query, matches, matcher.params)
         assert reopened.stream("PA/S00").series._pending is not None
-        session = SimpleNamespace(config=OnlineSessionConfig(min_matches=1))
-        served, counts, positions = _FleetDispatch([session], [plan]).serve(
+        served, counts, positions = PlanStack([plan], [1]).serve(
             np.array([horizon])
         )
         assert served[0] and counts[0] == n_expected

@@ -126,6 +126,67 @@ class TestMatchModeFlag:
         assert "served 2 concurrent sessions" in capsys.readouterr().out
 
 
+class TestArgumentBounds:
+    """Malformed serving arguments exit 2 with argparse's message before
+    any work starts (the snapshot path is never opened)."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("replay", "--horizon", "-0.3"),
+            ("replay", "--horizon", "nan"),
+            ("replay", "--horizon", "inf"),
+            ("replay", "--duration", "0"),
+            ("replay", "--duration", "-5"),
+            ("replay", "--duration", "nan"),
+            ("serve-replay", "--latency", "-1"),
+            ("serve-replay", "--latency", "nan"),
+            ("serve-replay", "--live", "0"),
+            ("serve-replay", "--live", "-1"),
+            ("serve-replay", "--workers", "0"),
+            ("serve-replay", "--workers", "-2"),
+            ("serve-replay", "--duration", "0"),
+            ("serve-replay", "--duration", "-5"),
+            ("serve-replay", "--duration", "nan"),
+            ("serve-replay", "--duration", "abc"),
+            ("metrics", "--latency", "-0.1"),
+            ("metrics", "--live", "0"),
+            ("metrics", "--duration", "inf"),
+            ("metrics", "--interval", "0"),
+            ("metrics", "--interval", "nan"),
+        ],
+    )
+    def test_rejected(self, tmp_path, capsys, command, flag, value):
+        argv = [command, str(tmp_path / "missing.json"), flag, value]
+        if command == "replay":
+            argv += ["--patient", "P000"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and repr(value) in err
+
+    @pytest.mark.parametrize(
+        "command, flag, value, parsed",
+        [
+            ("replay", "--horizon", "0", 0.0),
+            ("serve-replay", "--latency", "0", 0.0),
+            ("serve-replay", "--live", "1", 1),
+            ("serve-replay", "--workers", "1", 1),
+            ("serve-replay", "--duration", "0.5", 0.5),
+            ("metrics", "--interval", "2.5", 2.5),
+        ],
+    )
+    def test_bounds_are_inclusive_where_zero_is_meaningful(
+        self, command, flag, value, parsed
+    ):
+        argv = [command, "x.json", flag, value]
+        if command == "replay":
+            argv += ["--patient", "P000"]
+        args = build_parser().parse_args(argv)
+        assert getattr(args, flag[2:]) == parsed
+
+
 class TestCompact:
     def test_compact_logged_directory(self, tmp_path, capsys):
         from repro.database.backend import LoggedBackend

@@ -96,6 +96,19 @@ class TestEventBus:
         assert bus.publish("tick") is not None
         bus.publish("tick")
 
+    def test_subscribe_prunes_dead_weak_entries(self):
+        """Every signature index subscribes weakly to its database's
+        ``stream_removed``; a kind that is never published must not
+        keep one dead entry per index that came and went."""
+        from repro.database.index import StateSignatureIndex
+        from repro.database.store import MotionDatabase
+
+        db = MotionDatabase()
+        for _ in range(1000):
+            StateSignatureIndex(db)
+        gc.collect()
+        assert len(db.events._subscribers["stream_removed"]) <= 1
+
     def test_weak_unsubscribe(self):
         bus = EventBus()
 

@@ -14,6 +14,7 @@ from repro import (
     generate_query,
     segment_signal,
 )
+from repro.core.prediction import PlanStack
 from repro.gating import GatingWindow, delayed_positions, simulate_gating
 
 
@@ -75,23 +76,21 @@ class TestOnlinePipeline:
 
         latency = 0.3
         controlled = np.empty(live.n_samples)
-        query, matches = None, []
+        stack = None
         for i, (t, position) in enumerate(live.iter_points()):
             if ingestor.add_point(t, position) and len(ingestor.series) > 10:
                 query = generate_query(ingestor.series)
-                matches = (
-                    matcher.find_matches(query, ingestor.stream_id)
-                    if query is not None
-                    else []
-                )
+                stack = None
+                if query is not None:
+                    matches = matcher.find_matches(query, ingestor.stream_id)
+                    plan = predictor.build_plan(query, matches)
+                    stack = PlanStack([plan], [1])
             controlled[i] = position[0]
-            if query is not None and matches:
+            if stack is not None:
                 horizon = t + latency - ingestor.series.end_time
-                usable = predictor.with_known_future(matches, horizon)
-                if usable:
-                    controlled[i] = predictor.combine(
-                        query, usable, horizon
-                    )[0]
+                served, _, positions = stack.serve(np.array([horizon]))
+                if served[0]:
+                    controlled[i] = positions[0][0]
         ingestor.finish()
         db.remove_stream(ingestor.stream_id)
 

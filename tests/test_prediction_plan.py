@@ -1,9 +1,11 @@
-"""Vectorised prediction-plan engine vs the frozen scalar reference.
+"""The prediction kernel vs the frozen scalar reference.
 
-The plan kernel (``core/prediction.PredictionPlan``) and the session
-service's fleet dispatch must be **byte-identical** to the naive scalar
-loop frozen in ``testing/oracle.reference_prediction`` — every test here
-asserts exact float equality (``np.array_equal``), not closeness.
+``core/prediction.PlanStack`` serves every prediction — a one-row stack
+for a solo session or ``OnlinePredictor.predict``, one row per tenant
+for the session service — and must be **byte-identical** to the naive
+scalar loop frozen in ``testing/oracle.reference_prediction``.  Every
+test here asserts exact float equality (``np.array_equal``), not
+closeness.
 """
 
 import copy
@@ -20,13 +22,13 @@ from repro.core.model import BreathingState, PLRSeries, Vertex
 from repro.core.online import OnlineAnalysisSession, OnlineSessionConfig
 from repro.core.prediction import (
     OnlinePredictor,
+    PlanStack,
     build_prediction_plan,
-    horizon_grid,
 )
 from repro.database.store import MotionDatabase
 from repro.events import encode_value
 from repro.obs.telemetry import Telemetry
-from repro.service.manager import SessionManager, _FleetDispatch
+from repro.service.manager import SessionManager
 from repro.signals.respiratory import RespiratorySimulator, SessionConfig
 from repro.testing.oracle import reference_prediction
 
@@ -78,6 +80,24 @@ def random_setup(seed, ndim=1, n_streams=3):
     return db, matcher, query, matches
 
 
+def n_usable(db, matches, horizon):
+    """How many matches record a future ``horizon`` past their end."""
+    count = 0
+    for match in matches:
+        series = db.stream(match.stream_id).series
+        end_time = float(series.times[match.start + match.n_vertices - 1])
+        count += end_time + horizon <= float(series.times[-1])
+    return count
+
+
+def serve_one(plan, horizon, min_matches=1):
+    """One-row stack serve: ``(position or None, usable count)``."""
+    served, counts, positions = PlanStack([plan], [min_matches]).serve(
+        np.array([horizon])
+    )
+    return (positions[0] if served[0] else None), int(counts[0])
+
+
 class TestPlanEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -91,7 +111,7 @@ class TestPlanEquivalence:
     def test_serve_byte_identical_to_reference(
         self, seed, horizon, min_matches, ndim, anchor, distance_weighted
     ):
-        """plan.serve == frozen scalar loop, including decline agreement.
+        """A one-row serve == the frozen scalar loop, declines included.
 
         Horizons up to 40 s reach far past the packed tail window, so the
         per-row ``position_at`` fallback and end-of-stream clamping are
@@ -116,69 +136,86 @@ class TestPlanEquivalence:
             anchor=anchor,
             distance_weighted=distance_weighted,
         )
-        served, n_usable = plan.serve(horizon, min_matches=min_matches)
+        served, count = serve_one(plan, horizon, min_matches)
+        assert count == n_usable(db, matches, horizon)
         if expected is None:
             assert served is None
-            assert n_usable < max(min_matches, 1)
+            assert count < min_matches
         else:
             assert served is not None
             assert np.array_equal(expected, served)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
-        n_horizons=st.integers(min_value=1, max_value=12),
-        min_matches=st.integers(min_value=1, max_value=3),
+        horizon=st.floats(min_value=0.0, max_value=40.0),
+        min_matches=st.integers(min_value=1, max_value=4),
+        ndim=st.integers(min_value=1, max_value=3),
+        anchor=st.sampled_from(["last", "first"]),
+        distance_weighted=st.booleans(),
     )
-    def test_serve_many_equals_per_horizon_serves(
-        self, seed, n_horizons, min_matches
+    def test_predict_is_the_reference_on_its_matches(
+        self, seed, horizon, min_matches, ndim, anchor, distance_weighted
     ):
-        """One batched grid dispatch == n independent serves, bitwise."""
-        rng = np.random.default_rng(seed)
-        db, matcher, query, matches = random_setup(seed)
-        plan = build_prediction_plan(db, query, matches, matcher.params)
-        horizons = rng.uniform(0.0, 30.0, n_horizons)
-        batched = plan.serve_many(horizons, min_matches=min_matches)
-        assert len(batched) == n_horizons
-        for h, got in zip(horizons, batched):
-            expected, _ = plan.serve(float(h), min_matches=min_matches)
-            if expected is None:
-                assert got is None
-            else:
-                assert np.array_equal(expected, got)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        horizon=st.floats(min_value=0.0, max_value=25.0),
-    )
-    def test_combine_is_the_scalar_loop(self, seed, horizon):
-        """OnlinePredictor.combine (plan-backed) == its frozen loop."""
-        db, matcher, query, matches = random_setup(seed)
-        if not matches:
-            return
-        predictor = OnlinePredictor(db, matcher, min_matches=1)
-        assert np.array_equal(
-            predictor.combine(query, matches, horizon),
-            predictor._combine_scalar(query, matches, horizon),
+        """OnlinePredictor.predict == the frozen loop over the matches it
+        retrieves: position, n_matches and declines."""
+        db, matcher, query, matches = random_setup(seed, ndim=ndim)
+        predictor = OnlinePredictor(
+            db,
+            matcher,
+            min_matches=min_matches,
+            distance_weighted=distance_weighted,
+            anchor=anchor,
         )
+        got = predictor.predict(
+            query, "PA/LIVE", horizon, threshold=math.inf
+        )
+        expected = reference_prediction(
+            db,
+            query,
+            matches,
+            horizon,
+            params=matcher.params,
+            min_matches=min_matches,
+            anchor=anchor,
+            distance_weighted=distance_weighted,
+        )
+        if expected is None:
+            assert got is None
+            return
+        assert got is not None
+        assert np.array_equal(got.position, expected)
+        assert got.n_matches == n_usable(db, matches, horizon)
+        assert got.horizon == horizon
+        assert got.time == query.last_vertex.time + horizon
 
-    def test_combine_negative_horizon_uses_scalar_path(self):
+    @pytest.mark.parametrize(
+        "horizon", [-0.4, -1e-12, math.nan, math.inf, -math.inf]
+    )
+    def test_predict_rejects_negative_or_non_finite_horizon(self, horizon):
+        """Plans pack only each match's future, so a horizon < 0 (or not
+        a number at all) is refused where it enters."""
         db, matcher, query, matches = random_setup(3)
         assert matches, "vacuous fixture"
         predictor = OnlinePredictor(db, matcher, min_matches=1)
-        assert np.array_equal(
-            predictor.combine(query, matches, -0.4),
-            predictor._combine_scalar(query, matches, -0.4),
-        )
+        with pytest.raises(ValueError, match="horizon"):
+            predictor.predict(query, "PA/LIVE", horizon, threshold=math.inf)
 
     def test_empty_matches(self):
+        """An empty match set packs an empty row that declines with 0."""
         db, matcher, query, _ = random_setup(5)
         plan = build_prediction_plan(db, query, [], matcher.params)
-        assert plan.serve(0.2) == (None, 0)
-        assert plan.serve_many([0.1, 0.2]) == [None, None]
-        with pytest.raises(ValueError):
-            plan.combine_at(0.2)
+        assert plan.n_matches == 0
+        for min_matches in (1, 3):
+            assert serve_one(plan, 0.2, min_matches) == (None, 0)
+        # Beside a row that serves, the empty row still declines alone.
+        db, matcher, query, matches = random_setup(3)
+        full = build_prediction_plan(db, query, matches, matcher.params)
+        served, counts, _ = PlanStack([plan, full, plan], [1, 1, 1]).serve(
+            np.array([0.2, 0.0, 0.2])
+        )
+        assert list(served) == [False, True, False]
+        assert counts[0] == counts[2] == 0
 
 
 _PLAN_BUFFERS = (
@@ -188,7 +225,6 @@ _PLAN_BUFFERS = (
     "weights",
     "refs",
     "tail",
-    "tail_upper",
 )
 
 
@@ -249,47 +285,50 @@ class TestPlanFromMatchSet:
             [encode_value(m) for m in session.matches]
         )
 
+def assert_rows_are_the_reference(result, rows, horizons):
+    """Each stacked row == ``reference_prediction`` on its own matches.
+
+    ``rows[k]`` is ``(db, query, matches, params, min_matches)``; the
+    usable count and the decline must agree as well as the bytes.
+    """
+    served, counts, positions = result
+    for k, (db, query, matches, params, min_matches) in enumerate(rows):
+        horizon = float(horizons[k])
+        expected = reference_prediction(
+            db, query, matches, horizon, params=params, min_matches=min_matches
+        )
+        assert counts[k] == n_usable(db, matches, horizon)
+        assert served[k] == (expected is not None)
+        if expected is not None:
+            assert np.array_equal(positions[k], expected)
+
+
 class TestFleetDispatch:
-    class _FakeSession:
-        """Just enough session surface for _FleetDispatch (min_matches)."""
-
-        def __init__(self, min_matches):
-            self.config = OnlineSessionConfig(min_matches=min_matches)
-
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         n_tenants=st.integers(min_value=1, max_value=5),
     )
     def test_stacked_serve_byte_identical_per_row(self, seed, n_tenants):
-        """Padded fleet rows == each tenant's own plan.serve, bitwise."""
+        """Ragged fleet rows == the frozen scalar loop per tenant."""
         rng = np.random.default_rng(seed)
-        rows = []
+        rows, plans = [], []
         for k in range(n_tenants):
             db, matcher, query, matches = random_setup(
                 seed * 31 + k, ndim=2
             )
             if not matches:
                 continue
-            plan = build_prediction_plan(db, query, matches, matcher.params)
-            rows.append(
-                (self._FakeSession(int(rng.integers(1, 4))), plan)
+            min_matches = int(rng.integers(1, 4))
+            rows.append((db, query, matches, matcher.params, min_matches))
+            plans.append(
+                build_prediction_plan(db, query, matches, matcher.params)
             )
         if not rows:
             return
-        fleet = _FleetDispatch([s for s, _ in rows], [p for _, p in rows])
+        fleet = PlanStack(plans, [row[-1] for row in rows])
         horizons = rng.uniform(0.0, 30.0, len(rows))
-        served, counts, positions = fleet.serve(horizons)
-        for k, (session, plan) in enumerate(rows):
-            expected, n_usable = plan.serve(
-                float(horizons[k]), min_matches=session.config.min_matches
-            )
-            assert counts[k] == n_usable
-            if expected is None:
-                assert not served[k]
-            else:
-                assert served[k]
-                assert np.array_equal(expected, positions[k])
+        assert_rows_are_the_reference(fleet.serve(horizons), rows, horizons)
 
     @staticmethod
     def _past_tail_horizon(plan, rng):
@@ -297,7 +336,7 @@ class TestFleetDispatch:
 
         Such a match is answered by its series' ``position_at``.
         """
-        last = plan.tail_upper[-1]
+        last = plan.tail[0, -1]
         room = np.flatnonzero(plan.series_ends > last)
         if not len(room):
             return float(rng.uniform(0.0, 30.0))
@@ -316,71 +355,73 @@ class TestFleetDispatch:
         self, seed, ndim, n_narrow, min_matches
     ):
         """One wide tenant beside single-match tenants (>= 50x apart),
-        horizons past the packed tail: each row == its plan.serve."""
+        horizons past the packed tail: each row == the frozen loop."""
         rng = np.random.default_rng(seed)
         db, matcher, query, matches = random_setup(
             seed, ndim=ndim, n_streams=24
         )
         assume(len(matches) >= 50)
-        plans = [build_prediction_plan(db, query, matches, matcher.params)]
+        rows = [(db, query, matches, matcher.params, min_matches)]
         for k in range(n_narrow):
             db_k, matcher_k, query_k, matches_k = random_setup(
                 seed * 31 + k + 1, ndim=ndim
             )
             assume(matches_k)
-            plans.append(
-                build_prediction_plan(
-                    db_k, query_k, matches_k[:1], matcher_k.params
-                )
+            rows.append(
+                (db_k, query_k, matches_k[:1], matcher_k.params, min_matches)
             )
-        order = rng.permutation(len(plans))
-        plans = [plans[i] for i in order]
-        sessions = [self._FakeSession(min_matches) for _ in plans]
-        fleet = _FleetDispatch(sessions, plans)
+        order = rng.permutation(len(rows))
+        rows = [rows[i] for i in order]
+        plans = [
+            build_prediction_plan(db_k, query_k, matches_k, params)
+            for db_k, query_k, matches_k, params, _ in rows
+        ]
+        fleet = PlanStack(plans, [min_matches] * len(plans))
         horizons = np.array(
             [self._past_tail_horizon(plan, rng) for plan in plans]
         )
-        served, counts, positions = fleet.serve(horizons)
-        for k, plan in enumerate(plans):
-            expected, n_usable = plan.serve(
-                float(horizons[k]), min_matches=min_matches
-            )
-            assert counts[k] == n_usable
-            assert served[k] == (expected is not None)
-            if expected is not None:
-                assert np.array_equal(expected, positions[k])
+        assert_rows_are_the_reference(fleet.serve(horizons), rows, horizons)
 
     def test_manager_lifecycle_serves_match_fresh_dispatch_and_plans(
         self, small_cohort, monkeypatch
     ):
         """One manager through query refreshes, session open and close,
         and a tenant dropping to no plan: every serve of the cached
-        dispatch equals a freshly built one and each row's own
-        plan.serve, bit for bit."""
-        serve = _FleetDispatch.serve
+        stack equals a freshly built one and, row by row, the frozen
+        scalar loop over that tenant's matches, bit for bit."""
+        serve = PlanStack.serve
         dispatches = []
 
+        def owners(fleet):
+            """The session whose current plan each stacked row is."""
+            by_plan = {
+                id(session._plan): session for session in manager.sessions()
+            }
+            return [by_plan[id(plan)] for plan in fleet.plans]
+
         def checked_serve(fleet, horizons):
-            served, counts, positions = serve(fleet, horizons)
-            fresh = serve(_FleetDispatch(fleet.sessions, fleet.plans), horizons)
+            result = serve(fleet, horizons)
+            fresh = serve(PlanStack(fleet.plans, fleet.min_matches), horizons)
+            served = result[0]
             assert np.array_equal(served, fresh[0])
-            assert np.array_equal(counts, fresh[1])
-            for k, (session, plan) in enumerate(
-                zip(fleet.sessions, fleet.plans)
-            ):
-                expected, n_usable = plan.serve(
-                    float(horizons[k]), min_matches=session.config.min_matches
+            assert np.array_equal(result[1], fresh[1])
+            assert np.array_equal(result[2][served], fresh[2][served])
+            rows = [
+                (
+                    manager.database,
+                    session.query,
+                    session.matches,
+                    session.config.similarity,
+                    session.config.min_matches,
                 )
-                assert counts[k] == n_usable
-                assert served[k] == (expected is not None)
-                if expected is not None:
-                    assert np.array_equal(positions[k], expected)
-                    assert np.array_equal(fresh[2][k], expected)
+                for session in owners(fleet)
+            ]
+            assert_rows_are_the_reference(result, rows, horizons)
             if not dispatches or dispatches[-1] is not fleet:
                 dispatches.append(fleet)
-            return served, counts, positions
+            return result
 
-        monkeypatch.setattr(_FleetDispatch, "serve", checked_serve)
+        monkeypatch.setattr(PlanStack, "serve", checked_serve)
         patients = small_cohort.patient_ids[:3]
         raws = {
             pid: RespiratorySimulator(
@@ -420,7 +461,7 @@ class TestFleetDispatch:
                 # Until its next query refresh, the tenant has no plan.
                 session = manager.session(dropped)
                 if session.prediction_plan() is None:
-                    assert session not in manager._fleet.sessions
+                    assert session not in owners(manager._fleet)
                     served_without_plan += 1
             if i % 90 == 45:
                 # Far past every packed tail: the position_at fallback.
@@ -430,27 +471,6 @@ class TestFleetDispatch:
         assert len(dispatches) >= 5
         assert any(len(fleet.plans) == 3 for fleet in dispatches)
         assert any(len(fleet.plans) < 3 for fleet in dispatches)
-
-
-class TestHorizonGrid:
-    def test_values(self):
-        np.testing.assert_array_equal(
-            horizon_grid(4, 0.5), [0.5, 1.0, 1.5, 2.0]
-        )
-
-    def test_memoised_and_read_only(self):
-        a = horizon_grid(8, 0.25)
-        assert horizon_grid(8, 0.25) is a
-        assert horizon_grid(8, 0.5) is not a
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0] = 99.0
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            horizon_grid(0, 0.5)
-        with pytest.raises(ValueError):
-            horizon_grid(4, 0.0)
 
 
 # -- live-session plan cache and counters --------------------------------------

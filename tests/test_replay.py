@@ -78,6 +78,16 @@ class TestReplaySession:
         assert set(result.errors_by_horizon) == {0.1, 0.3}
         assert result.summary(0.1).n > 0
 
+    @pytest.mark.parametrize(
+        "horizons",
+        [(0.1, -0.3), (-1e-9,), (float("nan"),), (0.2, float("inf")), ()],
+    )
+    def test_config_rejects_unservable_horizons(self, horizons):
+        """Prediction plans pack only each match's future: a negative,
+        non-finite or missing horizon is refused where it enters."""
+        with pytest.raises(ValueError, match="horizons"):
+            ReplayConfig(horizons=horizons)
+
     def test_fixed_query_mode(self, small_cohort):
         pid = small_cohort.patient_ids[0]
         result = replay_session(

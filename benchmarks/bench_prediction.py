@@ -1,23 +1,32 @@
 """Prediction-serving benchmark: the scalar oracle vs the one kernel.
 
 Isolates the prediction path (Section 4.3 serving) from the rest of the
-pipeline and times three ways of answering "where will the patient be
+pipeline and times five ways of answering "where will the patient be
 ``h`` seconds from now":
 
 * **scalar** — :func:`repro.testing.oracle.reference_prediction`, the
   frozen one-match-at-a-time Python loop (the byte-identity oracle),
 * **plan_serve** — a one-row :class:`~repro.core.prediction.PlanStack`
   over one session's plan, served once per horizon: what a solo
-  session's ``predict_at`` and ``OnlinePredictor.predict`` run,
+  session's ``predict_at`` runs (``OnlinePredictor.predict`` builds a
+  one-shot stack; its build rate is reported too),
 * **fleet** — :meth:`~repro.service.manager.SessionManager.predict_ahead_all`,
-  every tenant's plan one row of a stack served once per tick,
-  compared against per-tenant ``predict_ahead`` calls (one-row stacks)
-  on the same sessions.
+  every tenant's plan one row of the manager's live stack served once
+  per tick, compared against per-tenant ``predict_ahead`` calls
+  (one-row stacks) on the same sessions,
+* **steady** — one live stack over the fleet's plans served over
+  consecutive frames, each match's cursor advancing in place, against a
+  stack built afresh for every frame,
+* **refresh** — one row rewritten with a new plan object (what a query
+  refresh hands the stack), then served, against a full rebuild.
 
-Every served result is asserted **byte-identical** (``np.array_equal``)
-to the scalar oracle before any timing is reported — a speedup that
-changes the answer would not be a speedup.  The fleet leg checks every
-row against the oracle as well as against the per-tenant serve, outside
+The fleet, steady and refresh legs time every tick separately and
+report the median (and the quartiles) over ``WINDOWS`` consecutive
+windows of ticks, so one slow stretch of a shared host does not set
+the figure.  Every served result is asserted **byte-identical**
+(``np.array_equal``) to the scalar oracle before any timing is reported
+— a speedup that changes the answer would not be a speedup — and every
+timed serve of the fleet, steady and refresh legs is checked, outside
 the timed region.
 
 Writes ``BENCH_prediction.json`` at the repo root (full mode), with the
@@ -64,6 +73,13 @@ QUICK_COHORT = CohortConfig(
 )
 
 LATENCY = 0.2  # fleet look-ahead per tick (matches bench_service)
+FRAME = 1.0 / 30.0  # one imaging frame: the steady horizons' step
+#: Frames between two vertex commits (about one a second at 30 Hz): the
+#: steady and refresh legs' horizons grow this long, then fall back.
+COMMIT_FRAMES = 30
+#: Consecutive windows each timed leg is split into; legs report the
+#: median window (and the quartiles).
+WINDOWS = 8
 
 
 def live_session(db, profile, duration: float):
@@ -140,23 +156,36 @@ def single_plan_section(db, session, horizons, reps: int) -> dict:
     }
 
 
-def fleet_section(db, profiles, duration: float, n_ticks: int) -> dict:
-    """Batched fleet dispatch vs per-tenant serves on live sessions."""
-    manager = SessionManager(db)
-    raws = {}
-    for k, profile in enumerate(profiles):
-        session = manager.open_session(
-            profile.patient_id, "BENCH-FLEET", config=OnlineSessionConfig()
-        )
-        raws[session.stream_id] = RespiratorySimulator(
-            profile, SessionConfig(duration=duration)
-        ).generate_session(9, seed=150 + k)
+def window_rates(durations: list[float], per_tick: float) -> dict:
+    """Median and quartiles of ``per_tick / mean duration`` over windows.
 
+    The ticks are split into ``WINDOWS`` consecutive windows; each
+    window's rate is its operations over its summed time.
+    """
+    rates = [
+        per_tick * len(window) / float(np.sum(window))
+        for window in np.array_split(np.asarray(durations), WINDOWS)
+    ]
+    q1, median, q3 = np.percentile(rates, [25, 50, 75])
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def window_times_us(durations: list[float]) -> dict:
+    """Median and quartiles, over windows, of the mean time per op (us)."""
+    means = [
+        1e6 * float(np.mean(window))
+        for window in np.array_split(np.asarray(durations), WINDOWS)
+    ]
+    q1, median, q3 = np.percentile(means, [25, 50, 75])
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def fleet_section(manager, raws, n_ticks: int) -> dict:
+    """Batched fleet dispatch vs per-tenant serves on live sessions."""
     times = next(iter(raws.values())).times
     warmup = len(times) - n_ticks
-    solo_s = 0.0
-    fleet_s = 0.0
-    served_frames = 0
+    solo_s: list[float] = []
+    fleet_s: list[float] = []
     n_served = 0
     for i, t in enumerate(times):
         manager.tick(
@@ -171,9 +200,8 @@ def fleet_section(db, profiles, duration: float, n_ticks: int) -> dict:
         t1 = time.perf_counter()
         batched = manager.predict_ahead_all(LATENCY)
         t2 = time.perf_counter()
-        solo_s += t1 - t0
-        fleet_s += t2 - t1
-        served_frames += len(raws)
+        solo_s.append(t1 - t0)
+        fleet_s.append(t2 - t1)
         for sid in raws:
             a, b = solo[sid], batched[sid]
             expected = oracle_at(manager.session(sid), float(t) + LATENCY)
@@ -188,15 +216,150 @@ def fleet_section(db, profiles, duration: float, n_ticks: int) -> dict:
                 assert np.array_equal(b, expected), (
                     "fleet dispatch diverged from the scalar oracle"
                 )
-    manager.close(keep_streams=False)
+    solo = window_rates(solo_s, len(raws))
+    fleet = window_rates(fleet_s, len(raws))
     return {
         "n_tenants": len(raws),
         "n_ticks_timed": n_ticks,
+        "n_windows": WINDOWS,
         "n_served_rows_checked": n_served,
-        "solo_frames_per_s": served_frames / solo_s,
-        "fleet_frames_per_s": served_frames / fleet_s,
-        "speedup_fleet_vs_solo": solo_s / fleet_s,
+        "solo_frames_per_s": solo["median"],
+        "solo_frames_per_s_quartiles": [solo["q1"], solo["q3"]],
+        "fleet_frames_per_s": fleet["median"],
+        "fleet_frames_per_s_quartiles": [fleet["q1"], fleet["q3"]],
+        "speedup_fleet_vs_solo": fleet["median"] / solo["median"],
         "identical_predictions": True,  # asserted above
+    }
+
+
+def check_rows(sessions, horizons, result) -> int:
+    """Assert each served row equals the oracle; returns rows served."""
+    served, _, positions = result
+    n_served = 0
+    for k, session in enumerate(sessions):
+        expected = oracle_ahead(session, float(horizons[k]))
+        assert bool(served[k]) == (expected is not None), (
+            "serve and decline disagree with the oracle"
+        )
+        if expected is not None:
+            n_served += 1
+            assert np.array_equal(positions[k], expected), (
+                "stack serve diverged from the scalar oracle"
+            )
+    return n_served
+
+
+def live_rows(manager, now: float):
+    """The warm sessions, their plans, ``min_matches`` and the horizons
+    of a prediction ``LATENCY`` past ``now``."""
+    sessions = [
+        session
+        for session in manager.sessions()
+        if session.prediction_plan() is not None
+    ]
+    assert sessions, "no session has a plan to serve"
+    plans = [session.prediction_plan() for session in sessions]
+    mins = [session.config.min_matches for session in sessions]
+    horizons = np.array(
+        [
+            now + LATENCY - session.ingestor.series.end_time
+            for session in sessions
+        ]
+    )
+    return sessions, plans, mins, horizons
+
+
+def steady_section(manager, now: float, n_frames: int) -> dict:
+    """One live stack served over consecutive frames vs a fresh stack each.
+
+    The horizons grow by one frame per serve for ``COMMIT_FRAMES``
+    frames, as between two vertex commits of a live fleet, so each
+    match's cursor advances in place; then they fall back, and the rows
+    restart.
+    """
+    sessions, plans, mins, horizons = live_rows(manager, now)
+    frames = [
+        horizons + (k % COMMIT_FRAMES) * FRAME for k in range(n_frames)
+    ]
+    stack = PlanStack(plans, mins)
+    stack.serve(frames[0])
+    live_s, fresh_s, results = [], [], []
+    for h in frames:
+        t0 = time.perf_counter()
+        result = stack.serve(h)
+        t1 = time.perf_counter()
+        PlanStack(plans, mins).serve(h)
+        t2 = time.perf_counter()
+        live_s.append(t1 - t0)
+        fresh_s.append(t2 - t1)
+        results.append(result)
+    n_served = sum(
+        check_rows(sessions, h, result) for h, result in zip(frames, results)
+    )
+    live = window_times_us(live_s)
+    fresh = window_times_us(fresh_s)
+    return {
+        "n_rows": len(plans),
+        "n_matches": sum(plan.n_matches for plan in plans),
+        "n_frames": n_frames,
+        "n_served_rows_checked": n_served,
+        "live_serve_us": live["median"],
+        "live_serve_us_quartiles": [live["q1"], live["q3"]],
+        "fresh_build_serve_us": fresh["median"],
+        "fresh_build_serve_us_quartiles": [fresh["q1"], fresh["q3"]],
+        "speedup_live_vs_fresh": fresh["median"] / live["median"],
+        "identical_predictions": True,  # asserted by check_rows
+    }
+
+
+def refresh_section(manager, now: float, n_frames: int) -> dict:
+    """One row rewritten with a new plan, then served, vs a full rebuild.
+
+    Row 0 alternates between two plan objects over the same matches (a
+    query refresh hands the stack a new object), so every frame restacks
+    exactly one row.
+    """
+    sessions, plans, mins, horizons = live_rows(manager, now)
+    first = sessions[0]
+    twins = [
+        plans[0],
+        first.predictor.build_plan(
+            first.query, first.matches, params=first.config.similarity
+        ),
+    ]
+    stack = PlanStack(plans, mins)
+    stack.serve(horizons)
+    live_s, fresh_s, results = [], [], []
+    frames = [
+        horizons + (k % COMMIT_FRAMES) * FRAME for k in range(n_frames)
+    ]
+    for k, h in enumerate(frames):
+        rows = [twins[(k + 1) % 2], *plans[1:]]
+        t0 = time.perf_counter()
+        stack.restack(rows, mins)
+        result = stack.serve(h)
+        t1 = time.perf_counter()
+        PlanStack(rows, mins).serve(h)
+        t2 = time.perf_counter()
+        live_s.append(t1 - t0)
+        fresh_s.append(t2 - t1)
+        results.append(result)
+    n_served = sum(
+        check_rows(sessions, h, result) for h, result in zip(frames, results)
+    )
+    live = window_times_us(live_s)
+    fresh = window_times_us(fresh_s)
+    return {
+        "n_rows": len(plans),
+        "rewritten_row_matches": plans[0].n_matches,
+        "n_frames": n_frames,
+        "n_served_rows_checked": n_served,
+        "rewrite_serve_us": live["median"],
+        "rewrite_serve_us_quartiles": [live["q1"], live["q3"]],
+        "rebuild_serve_us": fresh["median"],
+        "rebuild_serve_us_quartiles": [fresh["q1"], fresh["q3"]],
+        "speedup_rewrite_vs_rebuild": fresh["median"] / live["median"],
+        "identical_predictions": True,  # asserted by check_rows
     }
 
 
@@ -206,13 +369,19 @@ def oracle_at(session, target: float):
     ``target`` is the latest sample's time plus the latency, so it lies
     past the session's last vertex.
     """
+    return oracle_ahead(session, target - session.ingestor.series.end_time)
+
+
+def oracle_ahead(session, horizon: float):
+    """``reference_prediction`` over ``session``'s matches, ``horizon``
+    past its last vertex."""
     if session.query is None or not session.matches:
         return None
     return reference_prediction(
         session.db,
         session.query,
         session.matches,
-        target - session.ingestor.series.end_time,
+        horizon,
         params=session.config.similarity,
         min_matches=session.config.min_matches,
         anchor=session.predictor.anchor,
@@ -233,12 +402,21 @@ def run(quick: bool) -> dict:
     single = single_plan_section(db, session, horizons, reps)
     session.finish(keep_stream=False)
 
-    fleet = fleet_section(
-        db,
-        cohort.profiles[1 : (3 if quick else 5)],
-        duration=20.0 if quick else 30.0,
-        n_ticks=100 if quick else 400,
-    )
+    manager = SessionManager(db)
+    raws = {}
+    profiles = cohort.profiles[1 : (3 if quick else 5)]
+    for k, profile in enumerate(profiles):
+        tenant = manager.open_session(
+            profile.patient_id, "BENCH-FLEET", config=OnlineSessionConfig()
+        )
+        raws[tenant.stream_id] = RespiratorySimulator(
+            profile, SessionConfig(duration=20.0 if quick else 30.0)
+        ).generate_session(9, seed=150 + k)
+    fleet = fleet_section(manager, raws, n_ticks=100 if quick else 400)
+    now = float(next(iter(raws.values())).times[-1])
+    steady = steady_section(manager, now, n_frames=40 if quick else 400)
+    refresh = refresh_section(manager, now, n_frames=40 if quick else 400)
+    manager.close(keep_streams=False)
 
     return {
         "benchmark": "bench_prediction",
@@ -247,6 +425,8 @@ def run(quick: bool) -> dict:
         "host": host_record(),
         "single_plan": single,
         "fleet": fleet,
+        "steady": steady,
+        "refresh": refresh,
     }
 
 
@@ -271,11 +451,25 @@ def main(argv: list[str] | None = None) -> int:
         f"stack {single['stack_builds_per_s']:.0f}/s"
     )
     print(
-        f"fleet ({fleet['n_tenants']} tenants): "
-        f"per-tenant {fleet['solo_frames_per_s']:.0f} f/s, "
+        f"fleet ({fleet['n_tenants']} tenants, median of {WINDOWS} "
+        f"windows): per-tenant {fleet['solo_frames_per_s']:.0f} f/s, "
         f"batched {fleet['fleet_frames_per_s']:.0f} f/s "
         f"({fleet['speedup_fleet_vs_solo']:.2f}x), identical to the "
         f"oracle on {fleet['n_served_rows_checked']} served rows"
+    )
+    steady = payload["steady"]
+    refresh = payload["refresh"]
+    print(
+        f"steady ({steady['n_rows']} rows, {steady['n_matches']} matches): "
+        f"live stack {steady['live_serve_us']:.1f} us/serve, fresh stack "
+        f"{steady['fresh_build_serve_us']:.1f} us "
+        f"({steady['speedup_live_vs_fresh']:.2f}x); refresh: one row "
+        f"rewritten {refresh['rewrite_serve_us']:.1f} us, rebuilt "
+        f"{refresh['rebuild_serve_us']:.1f} us "
+        f"({refresh['speedup_rewrite_vs_rebuild']:.2f}x); identical to "
+        f"the oracle on "
+        f"{steady['n_served_rows_checked'] + refresh['n_served_rows_checked']}"
+        f" served rows"
     )
     if payload["mode"] == "full":
         OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")

@@ -169,7 +169,8 @@ class OnlineAnalysisSession:
         self._query: Subsequence | None = None
         self._matches = MatchSet.empty()
         self._plan: PredictionPlan | None = None
-        # The one-row stack solo serving reads; rebuilt with the plan.
+        # The one-row stack solo serving reads: built on the first
+        # serve, its row rewritten with each new plan.
         self._stack: PlanStack | None = None
         # Bit-exact copies of other shards' historical series, keyed by
         # stream id; populated through adopt_matches() when this session
@@ -314,7 +315,7 @@ class OnlineAnalysisSession:
             if self._plan is not None:
                 # The match set (and the query anchor) just changed, so
                 # the packed buffers no longer describe it.
-                self._plan = self._stack = None
+                self._plan = None
                 if self._t is not None:
                     self._c_plan_invalidations.inc()
             if self._t is not None:
@@ -346,7 +347,7 @@ class OnlineAnalysisSession:
         if foreign_series:
             self._foreign_series.update(foreign_series)
         if self._plan is not None:
-            self._plan = self._stack = None
+            self._plan = None
             if self._t is not None:
                 self._c_plan_invalidations.inc()
         if self._t is not None:
@@ -416,7 +417,7 @@ class OnlineAnalysisSession:
             self._query = generate_query(
                 self.ingestor.series, self.config.query
             )
-        self._plan = self._stack = None
+        self._plan = None
         if self._t is not None:
             self._g_matches.set(len(self._matches))
 
@@ -461,8 +462,9 @@ class OnlineAnalysisSession:
     def predict_at(self, target_time: float) -> np.ndarray | None:
         """Predicted position at an absolute ``target_time``.
 
-        Serves a one-row :class:`~repro.core.prediction.PlanStack`,
-        cached beside the :meth:`prediction_plan` it stacks, at the
+        Serves the session's one-row
+        :class:`~repro.core.prediction.PlanStack`, whose row is
+        rewritten whenever :meth:`prediction_plan` changes, at the
         effective horizon ``target_time - last_vertex_time``; a target
         inside the observed PLR reads it directly.  Returns ``None``
         while warming up or when too few matches have a known future.
@@ -496,9 +498,10 @@ class OnlineAnalysisSession:
             return self.ingestor.series.position_at(target_time)
         plan = self.prediction_plan()
         stack = self._stack
-        if stack is None or stack.plans[0] is not plan:
-            stack = PlanStack([plan], [self.config.min_matches])
-            self._stack = stack
+        if stack is None:
+            stack = self._stack = PlanStack([plan], [self.config.min_matches])
+        else:
+            stack.restack([plan], [self.config.min_matches])
         served, counts, positions = stack.serve(np.array([horizon]))
         if not served[0]:
             return None

@@ -28,13 +28,15 @@ The same machinery predicts the next segment's amplitude and duration
 **Vectorised serving.**  Matches only change when a vertex commits, but
 predictions are requested at the imaging rate (30 Hz) — tens to hundreds
 of serves per match set.  :class:`PredictionPlan` therefore packs the
-matches' futures into columnar buffers once per refresh (anchor, weights,
-per-match reference vertices, and a narrow window of each match's next
-``_PLAN_TAIL_COLUMNS`` stream vertices).  :class:`PlanStack` lays one or
-more plans end to end and serves them all in one pass: a known-future
-mask, one gather-interpolate over the tail windows, and a sequential
-weighted reduction per row.  It is the only kernel — a live fleet, a
-solo session, :meth:`OnlinePredictor.predict` and the replay harness all
+matches' futures into one column block once per refresh (anchor,
+weights, per-match reference vertices, and a narrow window of each
+match's next ``_PLAN_TAIL_COLUMNS`` stream vertices).  :class:`PlanStack`
+keeps plans in slots of one cell axis and serves them all in one pass.
+It is persistent: a new plan rewrites only its own row, and each match
+caches the tail segment its target time falls in, stepping it forward
+only when a serve's target passes the segment's end, instead of finding
+it again every frame.  It is the only kernel — a live fleet, a solo
+session, :meth:`OnlinePredictor.predict` and the replay harness all
 serve through it.  The reductions use ``np.cumsum`` (strictly
 left-to-right, unlike ``np.add.reduce``'s pairwise tree) so every serve
 is byte-identical to the frozen per-match loop
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -71,6 +73,17 @@ __all__ = [
 #: back to ``PLRSeries.position_at`` for that row (identical by
 #: definition, just slower).
 _PLAN_TAIL_COLUMNS = 12
+#: Tail vertices packed per match: its last vertex, then the window.
+_TAIL = _PLAN_TAIL_COLUMNS + 1
+#: Rows of a plan's column block: end time, stream end time, weight,
+#: then the ``ndim`` reference components and the ``1 + ndim`` tail lanes.
+_END, _SERIES_END, _WEIGHT, _REF = range(4)
+#: The smallest slot of a :class:`PlanStack` holds ``2 ** _MIN_CLASS``
+#: matches: narrower rows share it rather than add a grid each.
+_MIN_CLASS = 4
+#: Spare slots a :class:`PlanStack` rebuild lays out, as a share of the
+#: live cells: room for rows that change class before the next rebuild.
+_SPARE_SHARE = 0.125
 
 
 @dataclass(frozen=True)
@@ -102,21 +115,20 @@ class PredictionPlan:
 
     Built once per (query, matches) refresh by
     :func:`build_prediction_plan` / :meth:`OnlinePredictor.build_plan`.
-    Row ``j`` holds match ``j``'s end time, its stream's end time, its
-    combination weight, its anchor-reference position, and a padded
-    window of the ``_PLAN_TAIL_COLUMNS`` stream vertices following the
-    match (times padded with ``+inf``, positions clamped to the last
-    vertex, so end-of-stream clamping falls out of the interpolation
-    formula: ``alpha = finite / inf = 0``).
+    Match ``j`` has an end time, its stream's end time, a combination
+    weight, an anchor-reference position, and a padded window of the
+    ``_PLAN_TAIL_COLUMNS`` stream vertices following the match (times
+    padded with ``+inf``, positions clamped to the last vertex, so
+    end-of-stream clamping falls out of the interpolation formula:
+    ``alpha = finite / inf = 0``).
 
-    The reference positions and the tail window are stored component
-    first (:attr:`refs`, ``(ndim, n)``; :attr:`tail`,
-    ``(1 + ndim, K + 1, n)``): ``tail[0, k, j]`` is the time of match
-    ``j``'s ``k``-th tail vertex and ``tail[1:, k, j]`` its position, so
-    every component is one contiguous ``(K + 1, n)`` slab and the
-    serving arithmetic runs over contiguous rows.  A :class:`PlanStack`
-    concatenates these per-plan buffers along the match axis as they
-    are and serves them.
+    The columns are the rows of one ``(n_columns, n)`` array,
+    :attr:`block`, match ``j`` in column ``j``; :attr:`end_times`,
+    :attr:`series_ends`, :attr:`weights`, :attr:`refs` (``(ndim, n)``)
+    and :attr:`tail` (``(1 + ndim, K + 1, n)``: ``tail[0, k, j]`` is the
+    time of match ``j``'s ``k``-th tail vertex and ``tail[1:, k, j]`` its
+    position) are views of it, so a :class:`PlanStack` copies a plan
+    into its slot with one assignment.
 
     A plan is a snapshot: it stays valid while the underlying streams
     are unchanged.  Live sessions invalidate on every query refresh
@@ -128,6 +140,7 @@ class PredictionPlan:
         "anchor",
         "n_matches",
         "ndim",
+        "block",
         "end_times",
         "series_ends",
         "weights",
@@ -141,23 +154,20 @@ class PredictionPlan:
     def __init__(
         self,
         anchor: np.ndarray,
-        end_times: np.ndarray,
-        series_ends: np.ndarray,
-        weights: np.ndarray,
-        refs: np.ndarray,
-        tail: np.ndarray,
+        block: np.ndarray,
         series: list[PLRSeries],
         series_index: np.ndarray,
         removal_epoch: int,
     ) -> None:
         self.anchor = anchor
-        self.n_matches = len(end_times)
-        self.ndim = anchor.shape[0]
-        self.end_times = end_times
-        self.series_ends = series_ends
-        self.weights = weights
-        self.refs = refs
-        self.tail = tail
+        self.ndim = ndim = anchor.shape[0]
+        self.block = block
+        self.n_matches = n = block.shape[1]
+        self.end_times = block[_END]
+        self.series_ends = block[_SERIES_END]
+        self.weights = block[_WEIGHT]
+        self.refs = block[_REF : _REF + ndim]
+        self.tail = block[_REF + ndim :].reshape(1 + ndim, _TAIL, n)
         self.removal_epoch = removal_epoch
         self._series = series
         self._series_index = series_index
@@ -170,146 +180,408 @@ class PredictionPlan:
         return self._series[self._series_index[j]].position_at(t)
 
 
-def _joined(columns: list[np.ndarray]) -> np.ndarray:
-    """Per-plan columns concatenated along the match (last) axis.
+def _class_of(n_matches: int) -> int:
+    """A row's capacity class: its slot holds ``2 ** class`` cells."""
+    return max(_MIN_CLASS, (n_matches - 1).bit_length())
 
-    A single plan's column is used as it is: serves only read it.
+
+@lru_cache(maxsize=None)
+def _cell_rows(ndim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A :class:`PlanStack`'s per-cell rows for ``ndim``, read only.
+
+    Returns the inert padding cell (weight 0, zero positions, stream end
+    ``+inf`` and vertex 1 at ``+inf``, so every lane serves ``+0.0`` and
+    it never steps or counts as unusable), the rows a cursor step
+    gathers at vertex 0 (every lane at ``v``, then at ``v + 1``), and
+    the cursor rows it writes.
     """
-    if len(columns) == 1:
-        return columns[0]
-    return np.concatenate(columns, axis=-1)
+    lanes = 1 + ndim
+    tail = _REF + ndim
+    cursor = tail + lanes * _TAIL
+    pad = np.zeros(cursor + 3 * lanes)
+    pad[_SERIES_END] = np.inf
+    pad[tail + 1 : tail + _TAIL] = np.inf
+    pad[cursor + lanes] = pad[cursor + 2 * lanes] = np.inf
+    vertex_0 = tail + _TAIL * np.arange(lanes)
+    rows = (
+        pad,
+        np.concatenate([vertex_0, vertex_0 + 1])[:, None],
+        cursor + np.arange(3 * lanes)[:, None],
+    )
+    for array in rows:
+        array.setflags(write=False)  # shared by every stack of this ndim
+    return rows
+
+
+class _Grid:
+    """One capacity class of a :class:`PlanStack`: its slots' span of the
+    cell axis as a ``(lanes, slots, capacity)`` grid of terms and one of
+    their running sums.
+
+    Sums run over the slots up to the class's last live one, and
+    across to its widest row (``width``), since every cell past a row's
+    matches is ``+0.0``.  ``fresh`` is set when some row's usable set
+    may have changed, so the weight lane is summed again; otherwise its
+    running sums stand from an earlier serve.
+    """
+
+    __slots__ = ("slots", "terms", "cum", "rows", "width", "fresh", "views")
+
+    def __init__(self, slots: slice, terms: np.ndarray, cum: np.ndarray):
+        self.slots = slots
+        self.terms = terms
+        self.cum = cum
+        self.resize(0, 0)
+
+    def resize(self, rows: int, width: int) -> None:
+        self.rows = rows
+        self.width = width
+        self.fresh = True
+        terms = self.terms[:, :rows, :width]
+        cum = self.cum[:, :rows, :width]
+        # Every lane when fresh, else the offset lanes only.
+        self.views = ((terms, cum), (terms[:-1], cum[:-1]))
 
 
 class PlanStack:
-    """Prediction plans laid end to end on one match axis: the §4.3 kernel.
+    """Prediction plans in slots of one cell axis: the §4.3 kernel.
 
     :meth:`serve` is the one place the weighted average
     ``anchor + sum_j w_j (future_j - ref_j) / sum_j w_j`` is computed.
-    Every caller serves through a stack: the session service stacks one
-    row per live tenant, a solo session and
-    :meth:`OnlinePredictor.predict` serve a one-row stack, and the
-    replay harness stacks one row per configured horizon over the same
-    plan.
+    The session service keeps one live stack with a row per tenant, a
+    solo session keeps a one-row stack, :meth:`OnlinePredictor.predict`
+    serves a one-shot one-row stack, and the replay harness stacks one
+    row per configured horizon over the same plan.
 
-    Rows are plans; their matches sit back to back on one flat match
-    axis (``rows[m]`` is match ``m``'s row), so one serve answers every
-    row's horizon with array ops over real matches only — the
-    known-future compare, the tail gather and the interpolation never
-    touch padding, however skewed the rows' match counts are.
+    **Slots.**  A row (a plan) fills the front of a slot whose capacity
+    is a power of two, its *class* (at least ``2 ** _MIN_CLASS``); the
+    slots of a class are one ``(slots, capacity)`` grid of a flat cell
+    axis, narrowest class first.  Each grid takes ``np.cumsum`` (the one
+    numpy reduction with the scalar loop's left-to-right association)
+    along its slots up to its widest row, so every row is byte-identical
+    to ``testing.oracle.reference_prediction``.  Padding and free cells
+    carry weight 0, zero positions, stream end ``+inf`` and a next
+    vertex at ``+inf``: their lanes are exactly ``+0.0``, which a
+    left-to-right sum passes through, and they never step or count.
 
-    Only the weighted sums need a row structure: they must run strictly
-    left to right per row to stay byte-identical to the frozen scalar
-    loop (``testing.oracle.reference_prediction``).  Each serve scatters
-    the per-match terms (weighted offset, then weight) into zero-filled
-    grids and takes ``np.cumsum`` (the one numpy reduction with the
-    scalar loop's association) along each grid row; the cells no match
-    maps to stay exactly ``+0.0``, which a left-to-right sum passes
-    through unchanged.  Rows share a grid by size class (widest first, a
-    row joins while it holds at least half the class's widest row), so
-    the grids hold at most twice the real matches: one wide row does not
-    widen every other row.
+    **Restack per row.**  :meth:`restack` keeps the slot of every row
+    whose plan object is unchanged and copies each new plan into the
+    lowest free slot of its class or the class above (a plan listed
+    ``k`` times holds ``k`` slots); unclaimed slots become free.  It
+    rebuilds, restarting every cursor, only when no free slot fits or
+    more than half the cells are free; a rebuild leaves spare slots
+    worth ``_SPARE_SHARE`` of the live cells, narrowest classes first.
 
-    A stack is a snapshot of its plans.  Callers cache it and restack
-    when the plans change (:meth:`matches_rows`); a restack is one
-    ``np.concatenate`` per column over the plans' own buffers — every
-    plan packs its columns once, component first, when it is built —
-    so its cost follows the real match count: about 0.8 ms for 6 plans
-    holding 7,000 matches between them, on a 2-vCPU Xeon host.  A
-    one-row stack reads its plan's buffers without copying them.
+    **Cursors.**  Each match caches the tail segment its target time
+    ``t = end + horizon`` falls in: ``t0``, ``t1``, ``t1 - t0``, ``p0``
+    and ``p1 - p0``.  A serve steps forward only the matches with
+    ``t >= t1``, repeating while any stepped, so ``t0 <= t < t1`` holds
+    inside the packed window: the segment ``PLRSeries.position_at``
+    picks.  Tail times never decrease, nor do a row's target times while
+    its horizon does not; a row whose horizon fell, or whose plan was
+    just written, restarts at vertex 0.  The cached values are the same
+    subtractions of the same operands as a fresh gather, so serves stay
+    byte-identical.  A usable match past its window reads its series.
+
+    **Terms in place.**  Every per-match column is kept in cell order,
+    so a serve writes the weighted offsets straight into the grids and
+    zeroes and counts (``np.bincount``) the unusable cells.  The weight
+    lane only loses cells between restarts (a target past its stream's
+    end stays past it), so a class sums it again only when some row's
+    unusable count moved.
     """
 
     def __init__(
         self, plans: Sequence[PredictionPlan], min_matches: Sequence[int]
     ) -> None:
-        self.plans = plans = list(plans)
-        sizes = [plan.n_matches for plan in plans]
-        n_rows = len(plans)
-        #: Row ``r``'s matches sit at ``starts[r]:starts[r + 1]``.
-        self.starts = np.array([0, *accumulate(sizes)], dtype=np.intp)
-        n = int(self.starts[-1])
-        lanes = 1 + plans[0].ndim
+        self._rebuild(list(plans), min_matches)
+
+    def restack(
+        self, plans: Sequence[PredictionPlan], min_matches: Sequence[int]
+    ) -> None:
+        """Make ``plans`` the rows, writing only the rows whose plan is new.
+
+        A no-op when the rows are exactly the current plans.  Identity
+        is enough: a plan belongs to one session, whose ``min_matches``
+        never changes.
+        """
+        plans = list(plans)
+        current = self.plans
+        if len(plans) == len(current) and all(
+            a is b for a, b in zip(plans, current)
+        ):
+            return
+        if plans[0].ndim != self.ndim:
+            self._rebuild(plans, min_matches)
+            return
+        # A row whose plan is unchanged keeps its slot; the slots of the
+        # other old rows go to new rows listing the same plan, or free.
+        old_slot = self._row_slot.tolist()
+        row_slot = [-1] * len(plans)
+        held: dict[int, list[int]] = {}
+        for r, plan in enumerate(current):
+            if r < len(plans) and plans[r] is plan:
+                row_slot[r] = old_slot[r]
+            else:
+                held.setdefault(id(plan), []).append(old_slot[r])
+        fresh = []
+        for r, slot in enumerate(row_slot):
+            if slot < 0:
+                slots = held.get(id(plans[r]))
+                if slots:
+                    row_slot[r] = slots.pop()
+                else:
+                    fresh.append(r)
+        freed = [slot for slots in held.values() for slot in slots]
+        for slot in freed:
+            self._release(slot)
+        for r in fresh:
+            slot = self._take(_class_of(plans[r].n_matches))
+            if slot is None:
+                self._rebuild(plans, min_matches)
+                return
+            self._write(slot, plans[r])
+            row_slot[r] = slot
+        for slot in freed:
+            if self._slot_plan[slot] is None:
+                self._blank(slot)
+        for slot in freed + [row_slot[r] for r in fresh]:
+            self._fit(self._slot_grid[slot])
+        self._set_rows(plans, min_matches, row_slot)
+        if 2 * self._live_cells < self._n_cells:
+            self._rebuild(plans, min_matches)
+
+    # -- layout ----------------------------------------------------------------
+
+    def _rebuild(
+        self, plans: list[PredictionPlan], min_matches: Sequence[int]
+    ) -> None:
+        """Lay every row out afresh, with spare slots; cursors at vertex 0."""
+        self.ndim = ndim = plans[0].ndim
+        lanes = 1 + ndim
+        classes = [_class_of(plan.n_matches) for plan in plans]
+        live: dict[int, int] = {}
+        for k in classes:
+            live[k] = live.get(k, 0) + 1
+        budget = _SPARE_SHARE * sum(n << k for k, n in live.items())
+        layout = []
+        for k in sorted(live):
+            spare = 0
+            while spare < max(1, live[k] // 2) and (1 << k) <= budget:
+                spare += 1
+                budget -= 1 << k
+            layout.append((k, live[k] + spare))
+        caps = np.repeat([1 << k for k, _ in layout], [n for _, n in layout])
+        n_slots = len(caps)
+        self._slot_cap = caps
+        self._slot_start = np.cumsum(caps) - caps
+        self._n_cells = n_cells = int(caps.sum())
+        self._cell_slot = np.repeat(np.arange(n_slots), caps)
+        # One row per per-cell column: a plan block's rows, then the
+        # cursor (t0, p0..., t1, p1..., t1 - t0, p1 - p0...).
+        self._cursor_row = _REF + ndim + lanes * _TAIL
+        self._pad, steps, cursor_rows = _cell_rows(ndim)
+        # A step gathers every lane of a match's tail at its new vertices
+        # v and v + 1 (flat offsets of vertex 0, plus v), and writes them
+        # with their differences to the cursor rows.
+        self._step_rows = steps * n_cells
+        self._cursor_rows = cursor_rows * n_cells
+        self._cells = np.empty((len(self._pad), n_cells))
+        self._cells[:] = self._pad[:, None]
+        self._flat = self._cells.reshape(-1)
+        self._vertex = np.zeros(n_cells, dtype=np.intp)
+        self._slot_plan: list[PredictionPlan | None] = [None] * n_slots
+        self._slot_size = np.zeros(n_slots, dtype=np.intp)
+        self._slot_h = np.zeros(n_slots)
+        self._slot_anchor = np.zeros((n_slots, ndim))
+        #: Per slot: its class's width, and its usable and unusable
+        #: match counts at the last serve.
+        self._slot_width = np.zeros(n_slots, dtype=np.intp)
+        self._slot_usable = np.zeros(n_slots, dtype=np.intp)
+        self._slot_unusable = np.zeros(n_slots, dtype=np.intp)
+        self._n_unusable = -1  # unusable cells at the last serve; -1: recount
+        self._slot_grid: list[_Grid] = []
+        self._free: dict[int, list[int]] = {}
+        self._live_cells = 0  # the capacity of the slots holding rows
+        self._terms = terms = np.zeros((lanes, n_cells))
+        self._cum = cum = np.empty_like(terms)
+        self._grids = []
+        row_slot = [0] * len(plans)
+        first = 0
+        for k, n in layout:
+            start = int(self._slot_start[first])
+            span = slice(start, start + (n << k))
+            shape = (lanes, n, 1 << k)
+            grid = _Grid(
+                slice(first, first + n),
+                terms[:, span].reshape(shape),
+                cum[:, span].reshape(shape),
+            )
+            self._grids.append(grid)
+            self._slot_grid += [grid] * n
+            rows = [r for r, c in enumerate(classes) if c == k]
+            for slot, r in enumerate(rows, first):
+                row_slot[r] = slot
+                self._place(slot, plans[r])
+            width = max(plans[r].n_matches for r in rows)
+            grid.resize(len(rows), width)
+            self._slot_width[grid.slots] = width
+            self._free[k] = list(range(first + len(rows), first + n))
+            first += n
+        self._restart(slice(None))
+        # Serving workspaces: a stack is served once per frame, so every
+        # intermediate writes into a fixed buffer (ufunc ``out=``).  Only
+        # the returned positions array is freshly allocated per call —
+        # callers hand out row views that must outlive the next serve.
+        self._t, self._alpha = np.empty((2, n_cells))
+        self._mask = np.empty(n_cells, dtype=bool)
+        self._set_rows(plans, min_matches, row_slot)
+
+    def _set_rows(
+        self,
+        plans: list[PredictionPlan],
+        min_matches: Sequence[int],
+        row_slot: list[int],
+    ) -> None:
+        """Make ``plans``, held in ``row_slot``, the rows a serve answers."""
+        self.plans = plans
         #: Row ``r`` serves only with at least ``min_matches[r]`` usable
         #: matches (always at least one).
         self.min_matches = np.maximum(min_matches, 1)
-        # Every per-match column is component first, (..., n): each
-        # elementwise step of a serve then runs over contiguous rows.
-        self.anchors = np.concatenate(
-            [plan.anchor for plan in plans]
-        ).reshape(n_rows, -1)
-        self.end_times = _joined([plan.end_times for plan in plans])
-        self.series_ends = _joined([plan.series_ends for plan in plans])
-        self.weights = _joined([plan.weights for plan in plans])
-        self.refs = _joined([plan.refs for plan in plans])
-        tail = _joined([plan.tail for plan in plans])
-        #: The tail times after each match's first: the slab the
-        #: segment-selecting compare reads.
-        self.tail_upper = tail[0, 1:]
-        # Vertex k of match m's tail sits at column k * n + m.
-        self._tail_flat = tail.reshape(lanes, -1)
-        self.rows = np.repeat(np.arange(n_rows), sizes)
-        self._match_ids = np.arange(n)
-        # Size classes, widest row first; each is one (lanes, rows,
-        # width) grid in a shared zero-filled cell buffer.
-        classes: list[list[int]] = []
-        for r in sorted(range(n_rows), key=lambda r: -sizes[r]):
-            if classes and 2 * sizes[r] >= sizes[classes[-1][0]]:
-                classes[-1].append(r)
-            else:
-                classes.append([r])
-        widths = [max(sizes[rows[0]], 1) for rows in classes]
-        n_cells = sum(w * len(rows) for rows, w in zip(classes, widths))
-        cell_buf = np.zeros((lanes, n_cells))
-        cum_buf = np.empty_like(cell_buf)
-        first_cell = [0] * n_rows
-        self._classes = []
-        stop = 0
-        for rows, width in zip(classes, widths):
-            for k, r in enumerate(rows):
-                first_cell[r] = stop + width * k
-            span = slice(stop, stop + width * len(rows))
-            shape = (lanes, len(rows), width)
-            self._classes.append(
-                (
-                    np.asarray(rows),
-                    cell_buf[:, span].reshape(shape),
-                    cum_buf[:, span].reshape(shape),
-                )
-            )
-            stop = span.stop
-        # Match m's cell: its row's first cell plus its place in the row;
-        # _cell_index addresses every lane's copy in the flat buffer.
-        cells = self._match_ids + np.repeat(
-            np.subtract(first_cell, self.starts[:-1]), sizes
+        self._row_slot = row_slot = np.asarray(row_slot, dtype=np.intp)
+        self._row_anchor = self._slot_anchor[row_slot]
+        #: Serves read the cells up to the last one any sum reaches.
+        self._n_active = int(
+            (self._slot_start[row_slot] + self._slot_width[row_slot]).max()
         )
-        self._cell_index = np.add.outer(
-            np.arange(0, lanes * n_cells, n_cells), cells
-        ).reshape(-1)
-        self._cells_flat = cell_buf.reshape(-1)
-        # Preallocated per-serve workspaces: a stack is served once per
-        # frame, so every intermediate writes into a fixed buffer (ufunc
-        # ``out=``) instead of allocating.  Only the returned positions
-        # array is freshly allocated per call — callers hand out row
-        # views that must outlive the next serve.
-        self._b_t, self._b_alpha, self._b_den = np.empty((3, n))
-        self._b_usable, self._b_not, self._b_over = np.empty(
-            (3, n), dtype=bool
+        # Each row's sums: the running sums' last summed cell of its slot.
+        last = self._slot_start[row_slot] + np.maximum(
+            self._slot_width[row_slot] - 1, 0
         )
-        self._b_li, self._b_ls = np.empty((2, n), dtype=np.int8)
-        self._b_g0, self._b_g1, self._b_terms = np.empty((3, lanes, n))
-        self._b_running = np.zeros(n + 1, dtype=np.intp)
-        self._b_cmp = np.empty_like(self.tail_upper, dtype=bool)
-        self._b_flat = np.empty(n, dtype=np.intp)
-        self._b_sums = np.empty((lanes, n_rows))
+        lanes = 1 + self.ndim
+        self._row_sums = np.arange(lanes)[:, None] * self._n_cells + last
 
-    def matches_rows(self, plans: Sequence[PredictionPlan]) -> bool:
-        """True when the stack was built from exactly these plans.
+    def _fit(self, grid: _Grid) -> None:
+        """Fit a class's sums to its last live slot and its widest row."""
+        sizes = self._slot_size[grid.slots]
+        live = sizes.nonzero()[0]
+        rows = int(live[-1]) + 1 if live.size else 0
+        width = int(sizes.max())
+        if (rows, width) != (grid.rows, grid.width):
+            grid.resize(rows, width)
+            self._slot_width[grid.slots] = width
 
-        Identity is enough: a plan belongs to one session, whose
-        ``min_matches`` never changes.
+    def _span(self, slot: int) -> slice:
+        start = int(self._slot_start[slot])
+        return slice(start, start + int(self._slot_cap[slot]))
+
+    def _place(self, slot: int, plan: PredictionPlan) -> None:
+        """Copy ``plan``'s columns to the front of ``slot``."""
+        start = int(self._slot_start[slot])
+        self._cells[: self._cursor_row, start : start + plan.n_matches] = (
+            plan.block
+        )
+        self._slot_plan[slot] = plan
+        self._slot_size[slot] = plan.n_matches
+        self._slot_h[slot] = -np.inf
+        self._slot_anchor[slot] = plan.anchor
+        self._live_cells += int(self._slot_cap[slot])
+
+    def _write(self, slot: int, plan: PredictionPlan) -> None:
+        """Place ``plan`` in ``slot``, pad the rest, restart its cursors."""
+        self._place(slot, plan)
+        span = self._span(slot)
+        self._cells[:, span.start + plan.n_matches : span.stop] = self._pad[
+            :, None
+        ]
+        self._reset(slot)
+
+    def _blank(self, slot: int) -> None:
+        """Make every cell of a free slot inert."""
+        span = self._span(slot)
+        self._cells[:, span] = self._pad[:, None]
+        self._terms[-1, span] = 0.0
+        self._vertex[span] = 0
+        self._slot_h[slot] = 0.0
+        self._n_unusable = -1
+
+    def _release(self, slot: int) -> None:
+        cap = int(self._slot_cap[slot])
+        self._slot_plan[slot] = None
+        self._slot_size[slot] = 0
+        self._free[cap.bit_length() - 1].append(slot)
+        self._live_cells -= cap
+
+    def _take(self, k: int) -> int | None:
+        """The lowest free slot of class ``k``, else of class ``k + 1``."""
+        for c in (k, k + 1):
+            free = self._free.get(c)
+            if free:
+                slot = min(free)
+                free.remove(slot)
+                return slot
+        return None
+
+    def _reset(self, slot: int) -> None:
+        """Restart one row: cursors at vertex 0, every match usable."""
+        self._restart(self._span(slot))
+        self._slot_grid[slot].fresh = True
+        self._n_unusable = -1
+
+    def _restart(self, span: slice) -> None:
+        """Put the cursors of ``span`` on their first tail segment and
+        copy its weights to the weight lane."""
+        cells = self._cells
+        lanes = 1 + self.ndim
+        tail = _REF + self.ndim
+        cursor = self._cursor_row
+        cells[cursor : cursor + lanes, span] = cells[
+            tail : tail + lanes * _TAIL : _TAIL, span
+        ]
+        cells[cursor + lanes : cursor + 2 * lanes, span] = cells[
+            tail + 1 : tail + 1 + lanes * _TAIL : _TAIL, span
+        ]
+        np.subtract(
+            cells[cursor + lanes : cursor + 2 * lanes, span],
+            cells[cursor : cursor + lanes, span],
+            out=cells[cursor + 2 * lanes : cursor + 3 * lanes, span],
+        )
+        self._vertex[span] = 0
+        self._terms[-1, span] = cells[_WEIGHT, span]
+
+    # -- serving ---------------------------------------------------------------
+
+    def _advance(self, hit: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Step the cursors of ``hit`` (cells with ``t >= t1``) forward.
+
+        Returns the cells still past their segment on the last packed
+        pair: their target lies beyond the tail window.
         """
-        return len(plans) == len(self.plans) and all(
-            a is b for a, b in zip(plans, self.plans)
-        )
+        vertex = self._vertex
+        flat = self._flat
+        lanes = 1 + self.ndim
+        past = []
+        while hit.size:
+            v = vertex.take(hit)
+            at_end = v == _PLAN_TAIL_COLUMNS - 1
+            if at_end.any():
+                past.append(hit[at_end])
+                hit = hit[~at_end]
+                v = v[~at_end]
+            v += 1
+            vertex.put(hit, v)
+            v *= self._n_cells
+            v += hit
+            cursor = np.empty((3 * lanes, len(hit)))
+            flat.take(self._step_rows + v, out=cursor[: 2 * lanes])
+            np.subtract(
+                cursor[lanes : 2 * lanes],
+                cursor[:lanes],
+                out=cursor[2 * lanes :],
+            )
+            flat.put(self._cursor_rows + hit, cursor)
+            hit = hit.compress(t.take(hit) >= cursor[lanes])
+        return np.concatenate(past) if past else hit
 
     def serve(
         self, horizons: np.ndarray
@@ -321,65 +593,80 @@ class PlanStack:
         ``served[r]`` whether that reaches its ``min_matches``, and
         ``positions[r]`` the prediction, only meaningful where served.
         """
-        t = np.take(horizons, self.rows, out=self._b_t)
-        np.add(self.end_times, t, out=t)
-        usable = np.less_equal(t, self.series_ends, out=self._b_usable)
-        running = self._b_running
-        np.cumsum(usable, dtype=np.intp, out=running[1:])
-        counts = running[self.starts[1:]] - running[self.starts[:-1]]
-        served = counts >= self.min_matches
-        # Segment select: the count of tail vertices after the first at
-        # or before t, as searchsorted 'right' and the scalar
-        # position_at select it.  An int8 count: the tail window is far
-        # narrower than 127.
-        n = len(t)
-        n_pairs = self.tail_upper.shape[0]
-        np.less_equal(self.tail_upper, t, out=self._b_cmp)
-        li = self._b_cmp.sum(axis=0, dtype=np.int8, out=self._b_li)
-        li_safe = np.minimum(li, n_pairs - 1, out=self._b_ls)
-        flat = np.multiply(li_safe, n, out=self._b_flat, dtype=np.intp)
-        np.add(flat, self._match_ids, out=flat)
-        g0 = self._tail_flat.take(flat, axis=1, mode="clip", out=self._b_g0)
-        np.add(flat, n, out=flat)
-        g1 = self._tail_flat.take(flat, axis=1, mode="clip", out=self._b_g1)
-        t0 = g0[0]
-        p0 = g0[1:]
-        num = np.subtract(t, t0, out=self._b_alpha)
-        den = np.subtract(g1[0], t0, out=self._b_den)
-        alpha = np.divide(num, den, out=self._b_alpha)
-        # Weighted offsets then the weight: one lane per sum.
-        terms = self._b_terms
-        futures = np.subtract(g1[1:], p0, out=terms[:-1])
-        np.multiply(futures, alpha, out=futures)
-        np.add(futures, p0, out=futures)
-        # A usable match whose horizon runs past its packed tail reads
-        # its own series (identical by definition, just slower).
-        overflow = np.greater(li, n_pairs - 1, out=self._b_over)
-        np.logical_and(overflow, usable, out=overflow)
-        if overflow.any():
-            for m in np.flatnonzero(overflow):
-                row = self.rows[m]
-                futures[:, m] = self.plans[row].match_position_at(
-                    m - self.starts[row], float(t[m])
+        row_slot = self._row_slot
+        slot_h = self._slot_h
+        # A row restarts its cursors unless its horizon is at least the
+        # one it was last served at.
+        back = ~np.greater_equal(horizons, slot_h[row_slot])
+        if back.any():
+            for slot in row_slot[back]:
+                self._reset(slot)
+        slot_h[row_slot] = horizons
+        n = self._n_active
+        cells = self._cells[:, :n]
+        mask = self._mask[:n]
+        ndim = self.ndim
+        lanes = 1 + ndim
+        cursor = self._cursor_row
+        t = slot_h.take(self._cell_slot[:n], out=self._t[:n], mode="clip")
+        np.add(cells[_END], t, out=t)
+        past = np.greater_equal(t, cells[cursor + lanes], out=mask).nonzero()[0]
+        if past.size:
+            past = self._advance(past, t)
+        alpha = np.subtract(t, cells[cursor], out=self._alpha[:n])
+        np.divide(alpha, cells[cursor + 2 * lanes], out=alpha)
+        futures = np.multiply(
+            cells[cursor + 2 * lanes + 1 : cursor + 3 * lanes],
+            alpha,
+            out=self._terms[:ndim, :n],
+        )
+        np.add(futures, cells[cursor + 1 : cursor + lanes], out=futures)
+        if past.size:
+            # A usable match whose target runs past its packed tail
+            # reads its own series (identical by definition, slower).
+            slots = self._cell_slot[past]
+            j = past - self._slot_start[slots]
+            own = (j < self._slot_size[slots]) & (
+                t[past] <= cells[_SERIES_END, past]
+            )
+            for m, slot, jm in zip(past[own], slots[own], j[own]):
+                futures[:, m] = self._slot_plan[slot].match_position_at(
+                    jm, float(t[m])
                 )
-        np.subtract(futures, self.refs, out=futures)
-        np.multiply(futures, self.weights, out=futures)
-        terms[-1] = self.weights
-        unusable = np.logical_not(usable, out=self._b_not)
-        np.copyto(terms, 0.0, where=unusable)
-        self._cells_flat[self._cell_index] = terms.reshape(-1)
-        sums = self._b_sums
-        for rows, grid, cum in self._classes:
-            sums[:, rows] = np.cumsum(grid, axis=2, out=cum)[..., -1]
-        totals = sums[:-1].T
-        weight_sums = sums[-1]
+        np.subtract(futures, cells[_REF : _REF + ndim], out=futures)
+        np.multiply(futures, cells[_WEIGHT], out=futures)
+        usable = np.less_equal(t, cells[_SERIES_END], out=mask)
+        unusable = np.logical_not(usable, out=usable).nonzero()[0]
+        self._terms[:, unusable] = 0.0
+        if len(unusable) != self._n_unusable:
+            # Between restarts a cell only ever becomes unusable, so an
+            # unchanged total means an unchanged set.
+            self._n_unusable = len(unusable)
+            counts = np.bincount(
+                self._cell_slot[unusable], minlength=len(slot_h)
+            )
+            for slot in (counts != self._slot_unusable).nonzero()[0]:
+                self._slot_grid[slot].fresh = True
+            self._slot_unusable = counts
+            self._slot_usable = self._slot_size - counts
+        for grid in self._grids:
+            if grid.width:
+                terms, cum = grid.views[not grid.fresh]
+                terms.cumsum(axis=2, out=cum)
+                grid.fresh = False
+        sums = self._cum.take(self._row_sums)
+        counts = self._slot_usable[row_slot]
+        served = counts >= self.min_matches
+        anchors = self._row_anchor
+        totals = sums[:ndim].T
+        weight_sums = sums[ndim]
         if served.all():
-            positions = self.anchors + totals / weight_sums[:, None]
+            positions = anchors + totals / weight_sums[:, None]
         else:
-            positions = np.empty_like(self.anchors)
+            positions = np.empty_like(anchors)
             rows = np.nonzero(served)[0]
             positions[rows] = (
-                self.anchors[rows] + totals[rows] / weight_sums[rows, None]
+                anchors[rows] + totals[rows] / weight_sums[rows, None]
             )
         return served, counts, positions
 
@@ -417,7 +704,6 @@ def build_prediction_plan(
         anchor_position = query.first_vertex.position_array()
     n = len(matches)
     ndim = anchor_position.shape[0]
-    window = _PLAN_TAIL_COLUMNS + 1
     present, series_index = np.unique(matches.codes, return_inverse=True)
     codes = present.tolist()
     names = matches.names
@@ -442,26 +728,30 @@ def build_prediction_plan(
     base = bases[series_index]
     last = (base + sizes[series_index]) - 1
     ends = base + matches.starts + matches.lengths - 1
-    end_times = times[ends]
-    series_ends = times[last]
-    reference = ends if anchor == "last" else base + matches.starts
-    refs = np.ascontiguousarray(positions[reference].T)
-    indices = ends + np.arange(window)[:, None]
+    indices = ends + np.arange(_TAIL)[:, None]
     clamped = np.minimum(indices, last)
-    tail = np.empty((1 + ndim, window, n))
+    block = np.empty((_REF + ndim + (1 + ndim) * _TAIL, n))
+    block[_END] = times[ends]
+    block[_SERIES_END] = times[last]
+    block[_WEIGHT] = weights
+    reference = ends if anchor == "last" else base + matches.starts
+    block[_REF : _REF + ndim] = positions[reference].T
+    tail = block[_REF + ndim :].reshape(1 + ndim, _TAIL, n)
     tail[0] = np.where(indices <= last, times[clamped], np.inf)
     tail[1:] = positions.T[:, clamped]
     return PredictionPlan(
         anchor=anchor_position,
-        end_times=end_times,
-        series_ends=series_ends,
-        weights=weights,
-        refs=refs,
-        tail=tail,
+        block=block,
         series=series,
         series_index=series_index,
         removal_epoch=database.removal_epoch,
     )
+
+
+def _check_horizon(horizon: float) -> None:
+    """Refuse a horizon a plan cannot answer: it packs only the future."""
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise ValueError(f"horizon must be finite and >= 0, got {horizon!r}")
 
 
 class OnlinePredictor:
@@ -541,10 +831,7 @@ class OnlinePredictor:
         threshold, restrict_patients, params:
             Forwarded to the matcher.
         """
-        if not (math.isfinite(horizon) and horizon >= 0):
-            raise ValueError(
-                f"horizon must be finite and >= 0, got {horizon!r}"
-            )
+        _check_horizon(horizon)
         matches = self.matcher.find_matches(
             query,
             query_stream_id,
@@ -623,9 +910,11 @@ class OnlinePredictor:
         subsequence weight.  Returns ``(state, confidence)`` or ``None``
         when too few matches have a known future.  This is the signal
         phase-based gating needs (beam on during a predicted rest state).
+        ``horizon`` must be finite and ``>= 0``, as for :meth:`predict`.
         """
         from .model import BreathingState
 
+        _check_horizon(horizon)
         matches = self.matcher.find_matches(
             query,
             query_stream_id,

@@ -270,10 +270,10 @@ class SessionManager:
 
         The fleet-serving entry point: instead of looping
         :meth:`predict_ahead` per tenant, every session's cached
-        prediction plan is one row of a
-        :class:`~repro.core.prediction.PlanStack` (cached across calls,
-        restacked only when some tenant's plan changed) and a single
-        vectorised pass serves the whole fleet.
+        prediction plan is one row of the manager's live
+        :class:`~repro.core.prediction.PlanStack` (a tenant's new plan
+        rewrites only its own row) and a single vectorised pass serves
+        the whole fleet.
         Results are byte-identical to the per-tenant calls, and per-session
         counters/events fire exactly as they would individually; the
         batched serve is timed as ``prediction.plan_serve`` instead of
@@ -307,6 +307,7 @@ class SessionManager:
         results: dict[str, np.ndarray | None] = {}
         rows: list[tuple[str, OnlineAnalysisSession, float, float]] = []
         row_plans: list[PredictionPlan] = []
+        row_mins: list[int] = []
         epoch = self.database.removal_epoch
         for stream_id, session, target in targets:
             results[stream_id] = None
@@ -337,6 +338,7 @@ class SessionManager:
                 continue
             rows.append((stream_id, session, target, horizon))
             row_plans.append(plan)
+            row_mins.append(session.config.min_matches)
         if not rows:
             return results
         n = len(rows)
@@ -347,11 +349,10 @@ class SessionManager:
         for k in range(n):
             horizons[k] = rows[k][3]
         fleet = self._fleet
-        if fleet is None or not fleet.matches_rows(row_plans):
-            fleet = PlanStack(
-                row_plans, [row[1].config.min_matches for row in rows]
-            )
-            self._fleet = fleet
+        if fleet is None:
+            fleet = self._fleet = PlanStack(row_plans, row_mins)
+        else:
+            fleet.restack(row_plans, row_mins)
         if self.telemetry is None:
             served, counts, positions = fleet.serve(horizons)
         else:

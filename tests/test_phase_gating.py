@@ -58,6 +58,18 @@ class TestPredictState:
         assert state is EX
         assert confidence > 0.9
 
+    @pytest.mark.parametrize(
+        "horizon", [-0.5, -1e-12, -np.inf, np.inf, np.nan]
+    )
+    def test_rejects_negative_or_non_finite_horizon(self, setup, horizon):
+        """A vote needs each match's future: a horizon below 0 would read
+        a segment before the match's end, and -inf the stream's first
+        one, so it is refused with the error predict() raises."""
+        db, predictor, live = setup
+        assert predictor.predict_state(live.suffix(7), "PA/LIVE", 0.0)
+        with pytest.raises(ValueError, match="horizon"):
+            predictor.predict_state(live.suffix(7), "PA/LIVE", horizon)
+
     def test_none_without_matches(self, setup):
         db, _, live = setup
         strict = OnlinePredictor(

@@ -386,11 +386,12 @@ class TestFleetDispatch:
         self, small_cohort, monkeypatch
     ):
         """One manager through query refreshes, session open and close,
-        and a tenant dropping to no plan: every serve of the cached
-        stack equals a freshly built one and, row by row, the frozen
-        scalar loop over that tenant's matches, bit for bit."""
+        and a tenant dropping to no plan: every serve of the live stack
+        equals a freshly built one and, row by row, the frozen scalar
+        loop over that tenant's matches, bit for bit."""
         serve = PlanStack.serve
-        dispatches = []
+        dispatches = []  # each distinct row set the live stack served
+        stacks = set()
 
         def owners(fleet):
             """The session whose current plan each stacked row is."""
@@ -417,8 +418,13 @@ class TestFleetDispatch:
                 for session in owners(fleet)
             ]
             assert_rows_are_the_reference(result, rows, horizons)
-            if not dispatches or dispatches[-1] is not fleet:
-                dispatches.append(fleet)
+            if fleet is manager._fleet:
+                stacks.add(id(fleet))
+                last = dispatches[-1] if dispatches else []
+                if len(last) != len(fleet.plans) or any(
+                    a is not b for a, b in zip(last, fleet.plans)
+                ):
+                    dispatches.append(list(fleet.plans))
             return result
 
         monkeypatch.setattr(PlanStack, "serve", checked_serve)
@@ -468,9 +474,10 @@ class TestFleetDispatch:
                 manager.predict_at_all(float(t) + 20.0)
         manager.close(keep_streams=False)
         assert served_without_plan > 0
+        assert len(stacks) == 1  # one live stack, restacked per row
         assert len(dispatches) >= 5
-        assert any(len(fleet.plans) == 3 for fleet in dispatches)
-        assert any(len(fleet.plans) < 3 for fleet in dispatches)
+        assert any(len(plans) == 3 for plans in dispatches)
+        assert any(len(plans) < 3 for plans in dispatches)
 
 
 # -- live-session plan cache and counters --------------------------------------

@@ -217,15 +217,10 @@ class OnlineAnalysisSession:
         """Matches of the current query (refreshed at each vertex)."""
         return list(self._matches)
 
-    def _excluded(self) -> list[str] | None:
-        """The retrieval exclusion set, resolved per lookup."""
-        exclude = self._exclude_streams
-        if exclude is None:
-            return None
-        if callable(exclude):
-            exclude = exclude()
-        excluded = [sid for sid in exclude if sid != self.stream_id]
-        return excluded or None
+    @property
+    def now(self) -> float | None:
+        """Clock of the latest accepted sample (``None`` before the first)."""
+        return self._now
 
     def observe(
         self, t: float, position: Sequence[float] | float
@@ -302,12 +297,14 @@ class OnlineAnalysisSession:
                 self.ingestor.series, self.config.query
             )
             if self._query is not None:
+                # The matcher drops the session's own stream from the set.
+                exclude = self._exclude_streams
                 self._matches = self.matcher.find_matches(
                     self._query,
                     self.stream_id,
                     max_matches=self.config.max_matches,
                     restrict_patients=self.config.restrict_patients,
-                    exclude_streams=self._excluded(),
+                    exclude_streams=exclude() if callable(exclude) else exclude,
                     params=self.config.similarity,
                 )
             else:
@@ -425,18 +422,17 @@ class OnlineAnalysisSession:
         """The packed plan over the current matches (``None`` in warm-up).
 
         Built lazily on the first prediction after a query refresh and
-        cached until the next refresh invalidates it (matches only change
-        then); a database stream removal also forces a rebuild via the
-        removal-epoch snapshot.  The session service serves whole-fleet
-        dispatches straight from these plans.
+        cached until the next refresh, adoption or restore replaces the
+        matches.  The plan holds the series it read, so it serves
+        unchanged if a matched stream is later removed from the database.
         """
-        if self._query is None or not self._matches:
-            return None
         plan = self._plan
-        if plan is not None and plan.removal_epoch == self.db.removal_epoch:
+        if plan is not None:
             if self._t is not None:
                 self._c_plan_hits.inc()
             return plan
+        if self._query is None or not self._matches:
+            return None
         series_of = self._series_of if self._foreign_series else None
         if self._t is None:
             plan = self.predictor.build_plan(
@@ -459,53 +455,56 @@ class OnlineAnalysisSession:
         self._plan = plan
         return plan
 
-    def predict_at(self, target_time: float) -> np.ndarray | None:
-        """Predicted position at an absolute ``target_time``.
+    # -- prediction requests -----------------------------------------------------
 
-        Serves the session's one-row
-        :class:`~repro.core.prediction.PlanStack`, whose row is
-        rewritten whenever :meth:`prediction_plan` changes, at the
-        effective horizon ``target_time - last_vertex_time``; a target
-        inside the observed PLR reads it directly.  Returns ``None``
-        while warming up or when too few matches have a known future.
+    def open_request(
+        self, target_time: float
+    ) -> tuple[np.ndarray | None, PredictionPlan | None, float | None]:
+        """Step one of a prediction request at ``target_time``.
+
+        :meth:`predict_at` and the session service's fleet serve both run
+        this step, serve the row it returns on a
+        :class:`~repro.core.prediction.PlanStack`, then run
+        :meth:`close_request`.  Counts the request and answers what needs
+        no stack row: a decline during warm-up, or a target inside the
+        observed PLR, read from the series without building a plan.
+        Returns ``(answer, plan, horizon)``: ``plan`` is ``None`` when
+        ``answer`` is final, else the row to serve at ``horizon``.
         """
-        if self._t is None:
-            return self._predict_at(target_time)
-        self._c_requests.inc()
+        if self._t is not None:
+            self._c_requests.inc()
         if self._query is None or not self._matches:
-            # Warm-up fast path (the same guard _predict_at applies
-            # first): declines return in well under a microsecond, so
-            # timing them would cost more than the work itself — but
-            # they still count in predictions_total above, so decline
-            # rates are visible.
-            self._c_declined.inc()
-            return None
-        t0 = time.perf_counter()
-        position = self._predict_at(target_time)
-        if position is None:
-            self._c_declined.inc()
-        else:
-            self._h_predict.observe(time.perf_counter() - t0)
-            self._c_predictions.inc()
-        return position
-
-    def _predict_at(self, target_time: float) -> np.ndarray | None:
-        if self._query is None or not self._matches:
-            return None
-        horizon = target_time - self.ingestor.series.end_time
+            if self._t is not None:
+                self._c_declined.inc()
+            return None, None, None
+        series = self.ingestor.series
+        horizon = target_time - series.end_time
         if horizon < 0:
-            # Target inside the already-observed PLR: read it directly.
-            return self.ingestor.series.position_at(target_time)
-        plan = self.prediction_plan()
-        stack = self._stack
-        if stack is None:
-            stack = self._stack = PlanStack([plan], [self.config.min_matches])
-        else:
-            stack.restack([plan], [self.config.min_matches])
-        served, counts, positions = stack.serve(np.array([horizon]))
-        if not served[0]:
+            if self._t is not None:
+                self._c_predictions.inc()
+            return series.position_at(target_time), None, None
+        return None, self.prediction_plan(), horizon
+
+    def close_request(
+        self,
+        target_time: float,
+        horizon: float,
+        served: bool,
+        n_matches: int,
+        position: np.ndarray,
+    ) -> np.ndarray | None:
+        """Step two: account for the served row of an open request.
+
+        Counts it as served or declined and publishes
+        ``prediction_served``; returns ``position``, or ``None`` when
+        too few matches had a known future (``served`` false).
+        """
+        if not served:
+            if self._t is not None:
+                self._c_declined.inc()
             return None
-        position = positions[0]
+        if self._t is not None:
+            self._c_predictions.inc()
         if self.events is not None:
             self.events.publish(
                 "prediction_served",
@@ -513,9 +512,34 @@ class OnlineAnalysisSession:
                 time=target_time,
                 horizon=horizon,
                 position=position,
-                n_matches=int(counts[0]),
+                n_matches=int(n_matches),
             )
         return position
+
+    def predict_at(self, target_time: float) -> np.ndarray | None:
+        """Predicted position at an absolute ``target_time``.
+
+        Runs :meth:`open_request`, serves its row on the session's
+        one-row :class:`~repro.core.prediction.PlanStack` (rewritten
+        whenever :meth:`prediction_plan` changes) at the effective
+        horizon ``target_time - last_vertex_time``, and closes it.
+        Returns ``None`` while warming up or when too few matches have
+        a known future.
+        """
+        start = 0.0 if self._t is None else time.perf_counter()
+        answer, plan, horizon = self.open_request(target_time)
+        if plan is not None:
+            if self._stack is None:
+                self._stack = PlanStack([plan], [self.config.min_matches])
+            else:
+                self._stack.restack([plan], [self.config.min_matches])
+            served, counts, positions = self._stack.serve(np.array([horizon]))
+            answer = self.close_request(
+                target_time, horizon, served[0], counts[0], positions[0]
+            )
+        if answer is not None and self._t is not None:
+            self._h_predict.observe(time.perf_counter() - start)
+        return answer
 
     def predict_ahead(self, latency: float) -> np.ndarray | None:
         """Predicted position ``latency`` seconds after the latest sample.

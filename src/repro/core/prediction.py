@@ -130,10 +130,10 @@ class PredictionPlan:
     position) are views of it, so a :class:`PlanStack` copies a plan
     into its slot with one assignment.
 
-    A plan is a snapshot: it stays valid while the underlying streams
-    are unchanged.  Live sessions invalidate on every query refresh
-    (matches can only change then) and :attr:`removal_epoch` guards
-    against streams being dropped from the database underneath it.
+    A plan is a snapshot that holds the series it read: a stream removed
+    or re-created in the database afterwards does not change what it
+    serves.  Live sessions replace it on every query refresh, adoption
+    or restore (matches can only change then).
     """
 
     __slots__ = (
@@ -146,7 +146,6 @@ class PredictionPlan:
         "weights",
         "refs",
         "tail",
-        "removal_epoch",
         "_series",
         "_series_index",
     )
@@ -157,7 +156,6 @@ class PredictionPlan:
         block: np.ndarray,
         series: list[PLRSeries],
         series_index: np.ndarray,
-        removal_epoch: int,
     ) -> None:
         self.anchor = anchor
         self.ndim = ndim = anchor.shape[0]
@@ -168,7 +166,6 @@ class PredictionPlan:
         self.weights = block[_WEIGHT]
         self.refs = block[_REF : _REF + ndim]
         self.tail = block[_REF + ndim :].reshape(1 + ndim, _TAIL, n)
-        self.removal_epoch = removal_epoch
         self._series = series
         self._series_index = series_index
 
@@ -744,7 +741,6 @@ def build_prediction_plan(
         block=block,
         series=series,
         series_index=series_index,
-        removal_epoch=database.removal_epoch,
     )
 
 

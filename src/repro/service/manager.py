@@ -29,7 +29,7 @@ import numpy as np
 from ..core.matching import SubsequenceMatcher
 from ..core.model import Vertex
 from ..core.online import OnlineAnalysisSession, OnlineSessionConfig
-from ..core.prediction import PlanStack, PredictionPlan
+from ..core.prediction import PlanStack
 from ..database.store import MotionDatabase
 from ..events import EventBus
 from ..obs.metrics import DEFAULT_COUNT_BUCKETS
@@ -115,7 +115,6 @@ class SessionManager:
         #: shipping per shard, not per session).
         self._foreign_series: dict = {}
         self._fleet: PlanStack | None = None
-        self._horizons_buf: np.ndarray | None = None
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -268,16 +267,16 @@ class SessionManager:
     ) -> dict[str, np.ndarray | None]:
         """Every tenant's latency-compensated prediction, one dispatch.
 
-        The fleet-serving entry point: instead of looping
-        :meth:`predict_ahead` per tenant, every session's cached
-        prediction plan is one row of the manager's live
-        :class:`~repro.core.prediction.PlanStack` (a tenant's new plan
-        rewrites only its own row) and a single vectorised pass serves
-        the whole fleet.
-        Results are byte-identical to the per-tenant calls, and per-session
-        counters/events fire exactly as they would individually; the
-        batched serve is timed as ``prediction.plan_serve`` instead of
-        per-tenant ``session.predict_s``.
+        The fleet-serving entry point.  Each tenant's request runs the
+        session's own two steps
+        (:meth:`~repro.core.online.OnlineAnalysisSession.open_request`,
+        then ``close_request``); the rows between them are the rows of
+        the manager's live :class:`~repro.core.prediction.PlanStack` (a
+        tenant's new plan rewrites only its own row), served in a single
+        vectorised pass.  Results, counters and events equal the
+        per-tenant :meth:`predict_ahead` calls bit for bit; the batched
+        serve is timed as ``prediction.plan_serve`` instead of per-tenant
+        ``session.predict_s``.
 
         Returns ``{stream_id: position | None}`` in open order.
         """
@@ -285,7 +284,7 @@ class SessionManager:
             (
                 stream_id,
                 session,
-                None if session._now is None else session._now + latency,
+                None if session.now is None else session.now + latency,
             )
             for stream_id, session in self._sessions.items()
         )
@@ -306,53 +305,25 @@ class SessionManager:
         """Serve one prediction target per tenant via the stacked plans."""
         results: dict[str, np.ndarray | None] = {}
         rows: list[tuple[str, OnlineAnalysisSession, float, float]] = []
-        row_plans: list[PredictionPlan] = []
-        row_mins: list[int] = []
-        epoch = self.database.removal_epoch
+        plans, mins = [], []
         for stream_id, session, target in targets:
-            results[stream_id] = None
             if target is None:
-                continue  # no samples yet: not a request, same as solo
-            if session._t is None:
-                # Inline the plan-cache hit check; the method call only
-                # pays off when telemetry needs the hit counters.
-                plan = session._plan
-                if plan is None or plan.removal_epoch != epoch:
-                    plan = session.prediction_plan()
-            else:
-                session._c_requests.inc()
-                plan = session.prediction_plan()
-            if plan is None:
-                # Warm-up decline, identical to the solo fast path.
-                if session._t is not None:
-                    session._c_declined.inc()
+                # No samples yet: not a request, same as solo.
+                results[stream_id] = None
                 continue
-            horizon = target - session.ingestor.series.end_time
-            if horizon < 0:
-                # Target inside the observed PLR: direct read, no batch.
-                results[stream_id] = session.ingestor.series.position_at(
-                    target
-                )
-                if session._t is not None:
-                    session._c_predictions.inc()
-                continue
-            rows.append((stream_id, session, target, horizon))
-            row_plans.append(plan)
-            row_mins.append(session.config.min_matches)
+            results[stream_id], plan, horizon = session.open_request(target)
+            if plan is not None:
+                rows.append((stream_id, session, target, horizon))
+                plans.append(plan)
+                mins.append(session.config.min_matches)
         if not rows:
             return results
-        n = len(rows)
-        buf = self._horizons_buf
-        if buf is None or len(buf) < n:
-            buf = self._horizons_buf = np.empty(max(n, 8))
-        horizons = buf[:n]
-        for k in range(n):
-            horizons[k] = rows[k][3]
+        horizons = np.array([row[3] for row in rows])
         fleet = self._fleet
         if fleet is None:
-            fleet = self._fleet = PlanStack(row_plans, row_mins)
+            fleet = self._fleet = PlanStack(plans, mins)
         else:
-            fleet.restack(row_plans, row_mins)
+            fleet.restack(plans, mins)
         if self.telemetry is None:
             served, counts, positions = fleet.serve(horizons)
         else:
@@ -363,23 +334,9 @@ class SessionManager:
             self._c_batches.inc()
             self._h_batch_rows.observe(len(rows))
         for k, (stream_id, session, target, horizon) in enumerate(rows):
-            if not served[k]:
-                if session._t is not None:
-                    session._c_declined.inc()
-                continue
-            position = positions[k]
-            results[stream_id] = position
-            if session._t is not None:
-                session._c_predictions.inc()
-            if session.events is not None:
-                session.events.publish(
-                    "prediction_served",
-                    stream_id=stream_id,
-                    time=target,
-                    horizon=horizon,
-                    position=position,
-                    n_matches=int(counts[k]),
-                )
+            results[stream_id] = session.close_request(
+                target, horizon, served[k], counts[k], positions[k]
+            )
         return results
 
     # -- shard-worker hooks ------------------------------------------------------
@@ -455,7 +412,7 @@ class SessionManager:
         """
         from ..core.matching import QueryView
 
-        query = self._sessions[stream_id]._query
+        query = self._sessions[stream_id].query
         if query is None:
             return None
         return QueryView.from_query(query)

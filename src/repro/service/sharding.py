@@ -690,10 +690,11 @@ class ShardCoordinator:
             s: [] for s in range(n_workers)
         }
         #: Per-shard session checkpoints taken at the last compaction
-        #: (``None`` before the first): recovery restores the checkpoint
-        #: and re-feeds only the post-watermark frame-log suffix.
-        self._checkpoints: dict[int, dict | None] = {
-            s: None for s in range(n_workers)
+        #: (an empty one before the first): recovery restores the
+        #: checkpoint and re-feeds only the post-watermark frame-log
+        #: suffix.
+        self._checkpoints: dict[int, dict] = {
+            s: {"sessions": [], "pool": {}} for s in range(n_workers)
         }
         #: Refreshed queries whose cross-shard completion is outstanding.
         self._pending: dict[str, dict] = {}
@@ -803,14 +804,13 @@ class ShardCoordinator:
         patient_id, session_id, shard = self._tenants.pop(stream_id)
         self._shard_tenants[shard].remove(stream_id)
         self._pending.pop(stream_id, None)
+        # A closed session must not resurrect at the next recovery.
         checkpoint = self._checkpoints[shard]
-        if checkpoint is not None:
-            # A closed session must not resurrect at the next recovery.
-            checkpoint["sessions"] = [
-                entry
-                for entry in checkpoint["sessions"]
-                if entry["stream_id"] != stream_id
-            ]
+        checkpoint["sessions"] = [
+            entry
+            for entry in checkpoint["sessions"]
+            if entry["stream_id"] != stream_id
+        ]
         self._request(
             shard,
             {
@@ -1179,12 +1179,12 @@ class ShardCoordinator:
 
         The fresh process journal-replays the shard directory (restoring
         every historical stream bit-exactly) and the stale partial live
-        streams are dropped.  With a compaction checkpoint on file the
-        shard's sessions restore their checkpointed state directly and
-        only the post-watermark frame-log suffix is re-fed; before the
-        first compaction, sessions re-open fresh in their original order
-        and the full log replays.  Either way segmentation is
-        deterministic, so the recovered shard's series, matches and
+        streams are dropped.  The shard's sessions restore the last
+        compaction checkpoint in their original order, tenants it does
+        not hold re-opening fresh (all of them before the first
+        compaction), and only the frame-log suffix past its watermark is
+        re-fed (the full log before the first compaction).  Segmentation
+        is deterministic, so the recovered shard's series, matches and
         predictions are byte-identical to an uninterrupted run.
         Refreshes raised during replay land in the pending set (latest
         per stream) and complete through the normal scatter path
@@ -1215,57 +1215,41 @@ class ShardCoordinator:
             self._request(
                 shard, {"op": "drop_streams", "stream_ids": list(tenants)}
             )
+        # Ordered restore: checkpointed tenants resume their state,
+        # tenants opened after the checkpoint start fresh — in the
+        # fleet's session-open order either way.
         checkpoint = self._checkpoints[shard]
-        if checkpoint is None:
-            for sid in tenants:
+        by_sid = {
+            entry["stream_id"]: entry for entry in checkpoint["sessions"]
+        }
+        entries = []
+        for sid in tenants:
+            entry = by_sid.get(sid)
+            if entry is not None:
+                entries.append({"restore": entry})
+            else:
                 patient_id, session_id, _ = self._tenants[sid]
-                self._request(
-                    shard,
+                entries.append(
                     {
-                        "op": "open_session",
-                        "patient_id": patient_id,
-                        "session_id": session_id,
-                    },
-                )
-            # Foreign-series shipping state died with the worker's
-            # sessions; everything re-ships on demand.
-            self._shipped[shard] = set()
-        else:
-            # Ordered restore: checkpointed tenants resume their state,
-            # tenants opened after the checkpoint start fresh — in the
-            # fleet's session-open order either way.
-            by_sid = {
-                entry["stream_id"]: entry
-                for entry in checkpoint["sessions"]
-            }
-            entries = []
-            for sid in tenants:
-                entry = by_sid.get(sid)
-                if entry is not None:
-                    entries.append({"restore": entry})
-                else:
-                    patient_id, session_id, _ = self._tenants[sid]
-                    entries.append(
-                        {
-                            "open": {
-                                "patient_id": patient_id,
-                                "session_id": session_id,
-                            }
+                        "open": {
+                            "patient_id": patient_id,
+                            "session_id": session_id,
                         }
-                    )
-            if entries or checkpoint["pool"]:
-                self._request(
-                    shard,
-                    {
-                        "op": "restore_sessions",
-                        "sessions": entries,
-                        "pool": checkpoint["pool"],
-                    },
+                    }
                 )
-            # The restored pool is exactly what the shard now holds;
-            # series shipped after the checkpoint are gone and must
-            # ship again on demand.
-            self._shipped[shard] = set(checkpoint["pool"])
+        if entries or checkpoint["pool"]:
+            self._request(
+                shard,
+                {
+                    "op": "restore_sessions",
+                    "sessions": entries,
+                    "pool": checkpoint["pool"],
+                },
+            )
+        # The restored pool is exactly what the shard now holds; series
+        # shipped after the checkpoint are gone and must ship again on
+        # demand.
+        self._shipped[shard] = set(checkpoint["pool"])
         for t, shard_samples in self._frame_log[shard]:
             reply = self._request(
                 shard, {"op": "tick", "t": t, "samples": shard_samples}

@@ -542,7 +542,7 @@ class TestSessionPlanCache:
         assert snap.counter("prediction.plan_cache_invalidations") >= 1
         assert snap.counter("prediction.plan_builds") == 2
 
-    def test_stream_removal_forces_rebuild(self, telemetry_session):
+    def test_unmatched_stream_removal_keeps_plan(self, telemetry_session):
         session, raw, telemetry = telemetry_session
         db = session.db
         db.add_patient("EPOCH-DUMMY")
@@ -553,14 +553,138 @@ class TestSessionPlanCache:
         )
         points = raw.iter_points()
         _warm_up(session, points)
+        assert all(m.stream_id != "EPOCH-DUMMY/X" for m in session.matches)
         before = session.predict_ahead(0.2)
         db.remove_stream("EPOCH-DUMMY/X")
         after = session.predict_ahead(0.2)
         snap = telemetry.registry.snapshot()
-        # The epoch bump forces a rebuild, and (no matches changed) the
-        # rebuilt plan serves the same bytes.
-        assert snap.counter("prediction.plan_builds") == 2
-        assert np.array_equal(before, after)
+        # The plan lives until the next refresh and serves the same bytes.
+        assert snap.counter("prediction.plan_builds") == 1
+        assert before is not None and np.array_equal(before, after)
+
+
+# -- matched-stream removal ----------------------------------------------------
+
+
+def _assert_same_answers(a, b):
+    """Both declined, or the same bytes."""
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert a.tobytes() == b.tobytes()
+
+
+class TestMatchedStreamRemoval:
+    """A plan holds the series it read: removing a stream it matched, or
+    re-creating that stream with other data, changes nothing it serves
+    before the next refresh.  Each test compares with a twin database
+    that kept the stream."""
+
+    @staticmethod
+    def _twin_sessions(small_cohort):
+        """Two solo sessions fed alike until they serve; returns them, a
+        historical stream the first one's plan matches, and the clock."""
+        pid = small_cohort.patient_ids[0]
+        raw = RespiratorySimulator(
+            small_cohort.profile(pid), SessionConfig(duration=30.0)
+        ).generate_session(5, seed=21)
+        twins = [
+            OnlineAnalysisSession(copy.deepcopy(small_cohort.db), pid, "RM")
+            for _ in range(2)
+        ]
+        for t, position in raw.iter_points():
+            answers = []
+            for session in twins:
+                session.observe(t, position)
+                answers.append(session.predict_ahead(LATENCY))
+            if answers[0] is not None:
+                break
+        else:
+            pytest.fail("session never served")
+        _assert_same_answers(*answers)
+        matched = sorted(
+            {m.stream_id for m in twins[0].matches} - {twins[0].stream_id}
+        )
+        assert matched, "vacuous: no historical match"
+        return twins, matched[0], t
+
+    @staticmethod
+    def _assert_twins_agree(changed, kept, now):
+        """The next serves, one far past every packed tail, agree."""
+        for horizon in (LATENCY, 20.0, LATENCY):
+            _assert_same_answers(
+                changed.predict_at(now + horizon),
+                kept.predict_at(now + horizon),
+            )
+        assert changed.predict_ahead(LATENCY) is not None
+
+    def test_solo_serves_after_matched_stream_removal(self, small_cohort):
+        (changed, kept), matched, now = self._twin_sessions(small_cohort)
+        changed.db.remove_stream(matched)
+        self._assert_twins_agree(changed, kept, now)
+
+    def test_recreated_stream_does_not_change_the_plan(self, small_cohort):
+        """A matched stream re-created under its id with positions x2 is
+        not read at the old match offsets."""
+        (changed, kept), matched, now = self._twin_sessions(small_cohort)
+        db = changed.db
+        record = db.stream(matched)
+        series = record.series
+        db.remove_stream(matched)
+        db.add_stream(
+            record.patient_id,
+            record.session_id,
+            series=PLRSeries.from_dense(
+                series.times, 2.0 * series.positions, series.states
+            ),
+            stream_id=matched,
+        )
+        self._assert_twins_agree(changed, kept, now)
+
+    def test_fleet_serves_after_matched_stream_removal(self, small_cohort):
+        patients = small_cohort.patient_ids[:3]
+        raws = {
+            pid: RespiratorySimulator(
+                small_cohort.profile(pid), SessionConfig(duration=30.0)
+            ).generate_session(7, seed=80 + k)
+            for k, pid in enumerate(patients)
+        }
+        twins = []
+        for _ in range(2):
+            manager = SessionManager(copy.deepcopy(small_cohort.db))
+            for pid in patients:
+                manager.open_session(pid, "RM")
+            twins.append(manager)
+        changed, kept = twins
+        live = changed.live_stream_ids()
+        matched = None
+        for i, t in enumerate(raws[patients[0]].times):
+            frame = {
+                f"{pid}/RM": raws[pid].values[i] for pid in patients
+            }
+            answers = []
+            for manager in twins:
+                manager.tick(float(t), frame)
+                answers.append(manager.predict_ahead_all(LATENCY))
+            for sid in live:
+                _assert_same_answers(answers[0][sid], answers[1][sid])
+            historical = {
+                m.stream_id
+                for session in changed.sessions()
+                if session.prediction_plan() is not None
+                for m in session.matches
+            } - set(live)
+            if historical:
+                matched = sorted(historical)[0]
+                break
+        assert matched is not None, "vacuous: no tenant matched history"
+        changed.database.remove_stream(matched)
+        for latency in (LATENCY, 20.0, LATENCY):
+            a = changed.predict_ahead_all(latency)
+            b = kept.predict_ahead_all(latency)
+            assert list(a) == list(b)
+            for sid in live:
+                _assert_same_answers(a[sid], b[sid])
+        assert any(p is not None for p in a.values())
 
 
 class TestPredictionsTotalCounter:

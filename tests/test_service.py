@@ -287,6 +287,129 @@ class TestFleetBatchedServing:
         assert looped_snap.registry.counter("service.predict_batches") == 0
 
 
+class TestSoloFleetRequestParity:
+    """predict_at_all == per-tenant predict_at for every kind of request:
+    a target inside the observed PLR, ``now + latency``, one far past the
+    packed tails, non-finite targets, a tenant before its first sample
+    and tenants warming up.  Positions, counters and
+    ``prediction_served`` events must all agree."""
+
+    COUNTERS = (
+        "session.predictions_total",
+        "session.predictions_served",
+        "session.predictions_declined",
+        "prediction.plan_builds",
+        "prediction.plan_cache_hits",
+    )
+
+    @pytest.fixture(scope="class")
+    def runs(self, small_cohort):
+        patients = small_cohort.patient_ids[:4]
+        raws = {
+            pid: RespiratorySimulator(
+                small_cohort.profile(pid), SessionConfig(duration=36.0)
+            ).generate_session(9, seed=70 + k)
+            for k, pid in enumerate(patients)
+        }
+        times = raws[patients[0]].times
+        # The tick each tenant's samples start at: the last tenant has
+        # none for two thirds of the run, then warms up.
+        starts = dict(zip(patients, (0, 0, len(times) // 4, 2 * len(times) // 3)))
+
+        def run(fleet):
+            manager = SessionManager(
+                copy.deepcopy(small_cohort.db), telemetry=Telemetry()
+            )
+            events = []
+            manager.events.subscribe("prediction_served", events.append)
+            for pid in patients:
+                manager.open_session(pid, "PAR", config=OnlineSessionConfig())
+            answers = []
+            for i, t in enumerate(times):
+                t = float(t)
+                manager.tick(
+                    t,
+                    {
+                        f"{pid}/PAR": raws[pid].values[i]
+                        for pid in patients
+                        if i >= starts[pid]
+                    },
+                )
+                targets = [("past", t - 3.0)]
+                if (i // 90) % 3 != 2:
+                    # Every third 3 s window asks only for past targets,
+                    # which must not build a plan.
+                    targets.append(("ahead", t + LATENCY))
+                    if i % 10 == 0:
+                        targets += [
+                            ("far", t + 20.0),
+                            ("nan", float("nan")),
+                            ("inf", float("inf")),
+                            ("-inf", -float("inf")),
+                        ]
+                for kind, target in targets:
+                    if fleet:
+                        out = manager.predict_at_all(target)
+                    else:
+                        out = {
+                            sid: manager.predict_at(sid, target)
+                            for sid in manager.live_stream_ids()
+                        }
+                    answers.append((i, kind, out))
+            snapshot = manager.telemetry.snapshot().merged
+            manager.close(keep_streams=False)
+            return answers, events, snapshot
+
+        return run(fleet=False), run(fleet=True)
+
+    def test_positions_bit_identical(self, runs):
+        (solo, _, _), (fleet, _, _) = runs
+        assert len(solo) == len(fleet)
+        for (_, _, a), (_, _, b) in zip(solo, fleet):
+            assert list(a) == list(b)
+            for sid in a:
+                assert (a[sid] is None) == (b[sid] is None)
+                if a[sid] is not None:
+                    assert a[sid].tobytes() == b[sid].tobytes()
+
+    def test_every_request_kind_occurs(self, runs):
+        (solo, _, snapshot), _ = runs
+        served: dict[str, int] = {}
+        for _, kind, answers in solo:
+            served[kind] = served.get(kind, 0) + sum(
+                p is not None for p in answers.values()
+            )
+        assert served["past"] and served["ahead"] and served["-inf"]
+        assert served["nan"] == served["inf"] == 0
+        # The last tenant declines before its first sample, then while
+        # warming up.
+        late = list(solo[0][2])[-1]
+        n_ticks = solo[-1][0] + 1
+        assert all(
+            answers[late] is None
+            for i, _, answers in solo
+            if i < 2 * n_ticks // 3 + 30
+        )
+        assert snapshot.counter("session.predictions_declined") > 0
+
+    def test_counters_equal(self, runs):
+        (_, _, solo), (_, _, fleet) = runs
+        for name in self.COUNTERS:
+            assert solo.counter(name) == fleet.counter(name), name
+        assert fleet.counter("session.predictions_served") > 0
+
+    def test_prediction_served_events_equal(self, runs):
+        (_, solo, _), (_, fleet, _) = runs
+
+        def key(event):
+            data = dict(event.data)
+            data["position"] = data["position"].tobytes()
+            return data
+
+        assert solo, "vacuous: no prediction served"
+        assert [key(e) for e in solo] == [key(e) for e in fleet]
+
+
 # -- manager lifecycle ---------------------------------------------------------
 
 

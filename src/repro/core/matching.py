@@ -253,24 +253,6 @@ class QueryView:
             n_vertices=int(query.n_vertices),
         )
 
-    def to_payload(self) -> dict:
-        """JSON-serialisable form (inverse of :meth:`from_payload`)."""
-        return {
-            "states": [int(s) for s in self.segment_states],
-            "amplitudes": self.amplitudes.tolist(),
-            "durations": self.durations.tolist(),
-            "n_vertices": self.n_vertices,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "QueryView":
-        return cls(
-            segment_states=np.asarray(payload["states"], dtype=np.int8),
-            amplitudes=np.asarray(payload["amplitudes"], dtype=float),
-            durations=np.asarray(payload["durations"], dtype=float),
-            n_vertices=int(payload["n_vertices"]),
-        )
-
 
 @dataclass(frozen=True)
 class PartialTopK:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -253,6 +253,56 @@ class PLRSeries:
         for t, pos, state in zip(times, positions, states):
             series.append(Vertex(float(t), tuple(pos), BreathingState(state)))
         return series
+
+    def to_payload(self) -> dict:
+        """The JSON form of the series: its three columns as lists.
+
+        The one JSON form of a series — snapshot files, checkpoints and
+        the shard wire all use it.  Floats round-trip bit-exactly
+        through JSON's ``repr``.
+        """
+        return {
+            "times": self.times.tolist(),
+            "positions": self.positions.tolist(),
+            "states": self.states.tolist(),
+        }
+
+    @classmethod
+    def from_payload(cls, payload: Mapping) -> "PLRSeries":
+        """Inverse of :meth:`to_payload`, checked in one pass per column.
+
+        Raises :class:`ValueError` unless the times are finite and
+        strictly increasing, the positions are finite rows of one width
+        (one row per time) and every state is in the alphabet; the
+        columns are then adopted like :meth:`from_dense`'s.
+        """
+        times = np.asarray(payload["times"], dtype=float)
+        positions = np.asarray(payload["positions"], dtype=float)
+        states = np.asarray(payload["states"])
+        n = len(times)
+        if not (
+            times.shape == states.shape == (n,)
+            and (
+                positions.shape == (0,)
+                if n == 0
+                else positions.ndim == 2 and positions.shape[1] > 0
+            )
+            and len(positions) == n
+            and np.isfinite(times).all()
+            and (np.diff(times) > 0).all()
+            and np.isfinite(positions).all()
+        ):
+            raise ValueError(
+                "a series needs finite, strictly increasing times and one "
+                "finite position row per time"
+            )
+        if n and (
+            states.dtype.kind != "i"
+            or states.min() < 0
+            or states.max() >= len(BreathingState)
+        ):
+            raise ValueError("series states must be in the state alphabet")
+        return cls.from_dense(times, positions, states.astype(np.int8))
 
     def append(self, vertex: Vertex) -> None:
         """Append one vertex; times must be strictly increasing."""
@@ -528,26 +578,6 @@ class Subsequence:
             signature = tuple(int(s) for s in self.segment_states)
             self._features["signature"] = signature
         return signature
-
-    @property
-    def collapsed_signature(self) -> tuple[int, ...]:
-        """The signature with repeated neighbouring states collapsed.
-
-        This is the coarse granularity the warped match mode retrieves
-        candidates at: two windows admit a state-consistent segment
-        alignment only when their collapsed signatures agree (see
-        :func:`~repro.database.index.collapse_signature`).
-        """
-        collapsed = self._features.get("collapsed")
-        if collapsed is None:
-            signature = self.state_signature
-            collapsed = tuple(
-                s
-                for i, s in enumerate(signature)
-                if i == 0 or s != signature[i - 1]
-            )
-            self._features["collapsed"] = collapsed
-        return collapsed
 
     # -- vertices ----------------------------------------------------------
 

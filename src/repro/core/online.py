@@ -172,10 +172,9 @@ class OnlineAnalysisSession:
         # The one-row stack solo serving reads: built on the first
         # serve, its row rewritten with each new plan.
         self._stack: PlanStack | None = None
-        # Bit-exact copies of other shards' historical series, keyed by
-        # stream id; populated through adopt_matches() when this session
-        # runs inside a shard worker.  Always empty in solo mode.
-        self._foreign_series: dict = {}
+        # The series of every stream the match set names, resolved when
+        # the set is installed (see _install_matches).
+        self._match_series: dict = {}
         self._now: float | None = None
         self.n_dropped = 0
         self.n_stale = 0
@@ -296,10 +295,11 @@ class OnlineAnalysisSession:
             self._query = generate_query(
                 self.ingestor.series, self.config.query
             )
+            matches = MatchSet.empty()
             if self._query is not None:
                 # The matcher drops the session's own stream from the set.
                 exclude = self._exclude_streams
-                self._matches = self.matcher.find_matches(
+                matches = self.matcher.find_matches(
                     self._query,
                     self.stream_id,
                     max_matches=self.config.max_matches,
@@ -307,17 +307,9 @@ class OnlineAnalysisSession:
                     exclude_streams=exclude() if callable(exclude) else exclude,
                     params=self.config.similarity,
                 )
-            else:
-                self._matches = MatchSet.empty()
-            if self._plan is not None:
-                # The match set (and the query anchor) just changed, so
-                # the packed buffers no longer describe it.
-                self._plan = None
-                if self._t is not None:
-                    self._c_plan_invalidations.inc()
+            self._install_matches(matches)
             if self._t is not None:
                 self._c_refreshes.inc()
-                self._g_matches.set(len(self._matches))
             if self.events is not None:
                 self.events.publish(
                     "query_refreshed",
@@ -335,43 +327,51 @@ class OnlineAnalysisSession:
         The sharded coordinator merges this session's local matches with
         other shards' partial top-k lists and hands the result back
         here.  ``foreign_series`` maps stream ids that live on other
-        shards to bit-exact :class:`PLRSeries` copies, so plan building
-        can resolve every match; adopted series stay cached for the
-        session's lifetime (cross-shard matches only ever reference
-        immutable historical streams).  Invalidates the cached plan.
+        shards to bit-exact :class:`PLRSeries` copies (cross-shard
+        matches only ever reference immutable historical streams), so
+        every match resolves.  Invalidates the cached plan.
         """
-        self._matches = MatchSet.from_matches(matches)
-        if foreign_series:
-            self._foreign_series.update(foreign_series)
+        self._install_matches(matches, foreign_series)
+
+    def _install_matches(self, matches, foreign_series=None) -> None:
+        """Make ``matches`` the current set, and invalidate the plan.
+
+        Resolves the series of every stream the set names now, from
+        ``foreign_series`` (streams of other shards) or else the
+        database, so building the plan
+        later reads no stream from the database: a matched stream
+        removed (or re-created) before the first prediction changes
+        nothing the set serves until the next refresh.
+        """
+        matches = MatchSet.from_matches(matches)
+        foreign = foreign_series or {}
+        db = self.db
+        self._match_series = {
+            name: foreign[name] if name in foreign else db.stream(name).series
+            for name in matches.names[np.unique(matches.codes)].tolist()
+        }
+        self._matches = matches
         if self._plan is not None:
+            # The packed buffers no longer describe the match set.
             self._plan = None
             if self._t is not None:
                 self._c_plan_invalidations.inc()
         if self._t is not None:
-            self._g_matches.set(len(self._matches))
-
-    def _series_of(self, stream_id: str):
-        """Resolve a match's series locally, else from adopted copies."""
-        if stream_id in self.db:
-            return self.db.stream(stream_id).series
-        return self._foreign_series[stream_id]
+            self._g_matches.set(len(matches))
 
     # -- checkpointing -----------------------------------------------------------
 
     def checkpoint(self) -> dict:
-        """The session's resumable state as a JSON-able payload.
+        """The session's resumable state, a value for the codec.
 
         Covers the segmenter (series + filter/debounce state), the
         sample-guard clock and drop/stale tallies, and the current match
         set; the query and prediction plan are *derived* state (the
         query regenerates deterministically from the restored series,
         the plan rebuilds lazily from the matches) so they are not
-        serialized.  Foreign series are referenced by id only — the
-        shard-level pool ships them once per checkpoint, not once per
-        session.
+        serialized.  Foreign series are not included — the shard-level
+        pool ships them once per checkpoint, not once per session.
         """
-        from ..events import encode_value
-
         record = self.ingestor.record
         return {
             "patient_id": record.patient_id,
@@ -381,8 +381,7 @@ class OnlineAnalysisSession:
             "now": self._now,
             "n_dropped": self.n_dropped,
             "n_stale": self.n_stale,
-            "matches": encode_value(self.matches),
-            "foreign": sorted(self._foreign_series),
+            "matches": self.matches,
         }
 
     def restore(self, payload: dict, foreign_series=None) -> None:
@@ -392,10 +391,9 @@ class OnlineAnalysisSession:
         durability hook (the recreated stream starts a fresh journal),
         so a later crash replays the checkpointed prefix too.  Feeding
         the post-checkpoint raw frames afterwards reproduces the
-        uninterrupted session bit for bit.
+        uninterrupted session bit for bit.  ``foreign_series`` resolves
+        matched streams that live on other shards.
         """
-        from ..events import decode_value
-
         segmenter = self.ingestor.segmenter
         restored = segmenter.restore_state(payload["segmenter"])
         if restored:
@@ -403,28 +401,22 @@ class OnlineAnalysisSession:
         self._now = payload["now"]
         self.n_dropped = int(payload["n_dropped"])
         self.n_stale = int(payload["n_stale"])
-        if foreign_series:
-            self._foreign_series.update(foreign_series)
-        self._matches = MatchSet.from_matches(
-            decode_value(payload["matches"])
-        )
         if len(self.ingestor.series) >= self.config.warmup_vertices:
             # The query refreshed at the last vertex commit and the
             # series has not changed since, so regeneration is exact.
             self._query = generate_query(
                 self.ingestor.series, self.config.query
             )
-        self._plan = None
-        if self._t is not None:
-            self._g_matches.set(len(self._matches))
+        self._install_matches(payload["matches"], foreign_series)
 
     def prediction_plan(self) -> PredictionPlan | None:
         """The packed plan over the current matches (``None`` in warm-up).
 
         Built lazily on the first prediction after a query refresh and
         cached until the next refresh, adoption or restore replaces the
-        matches.  The plan holds the series it read, so it serves
-        unchanged if a matched stream is later removed from the database.
+        matches.  It reads the series resolved when the matches were
+        installed, never the database, so a matched stream removed since
+        changes nothing it serves.
         """
         plan = self._plan
         if plan is not None:
@@ -433,7 +425,7 @@ class OnlineAnalysisSession:
             return plan
         if self._query is None or not self._matches:
             return None
-        series_of = self._series_of if self._foreign_series else None
+        series_of = self._match_series.__getitem__
         if self._t is None:
             plan = self.predictor.build_plan(
                 self._query,
@@ -466,14 +458,19 @@ class OnlineAnalysisSession:
         this step, serve the row it returns on a
         :class:`~repro.core.prediction.PlanStack`, then run
         :meth:`close_request`.  Counts the request and answers what needs
-        no stack row: a decline during warm-up, or a target inside the
-        observed PLR, read from the series without building a plan.
+        no stack row: a decline during warm-up or for a NaN or +inf
+        target, or a target inside the observed PLR (``-inf`` too), read
+        from the series without building a plan.
         Returns ``(answer, plan, horizon)``: ``plan`` is ``None`` when
         ``answer`` is final, else the row to serve at ``horizon``.
         """
         if self._t is not None:
             self._c_requests.inc()
-        if self._query is None or not self._matches:
+        if (
+            self._query is None
+            or not self._matches
+            or not target_time < math.inf  # NaN or +inf
+        ):
             if self._t is not None:
                 self._c_declined.inc()
             return None, None, None

@@ -361,11 +361,7 @@ class OnlineSegmenter:
         """
         slope = self._slope
         return {
-            "series": {
-                "times": self.series.times.tolist(),
-                "positions": self.series.positions.tolist(),
-                "states": [int(s) for s in self.series.states],
-            },
+            "series": self.series.to_payload(),
             "last_time": self._last_time,
             "smoothed": (
                 None if self._smoothed is None else self._smoothed.tolist()
@@ -413,16 +409,9 @@ class OnlineSegmenter:
         """
         if len(self.series):
             raise ValueError("restore_state requires an empty series")
-        restored: list[Vertex] = []
-        series = payload["series"]
-        for t, position, state in zip(
-            series["times"], series["positions"], series["states"]
-        ):
-            vertex = Vertex(
-                float(t), tuple(position), BreathingState(int(state))
-            )
+        restored = list(PLRSeries.from_payload(payload["series"]))
+        for vertex in restored:
             self.series.append(vertex)
-            restored.append(vertex)
         self._last_time = payload["last_time"]
         self._smoothed = (
             None

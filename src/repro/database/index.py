@@ -443,11 +443,6 @@ class LengthIndex:
         return length_index
 
     @property
-    def indexed_streams(self) -> tuple[str, ...]:
-        """Streams this length index has seen."""
-        return tuple(self._next_start)
-
-    @property
     def n_postings(self) -> int:
         """Number of distinct signatures indexed."""
         return len(self._table.keys) + len(self._new_keys)
@@ -778,31 +773,6 @@ class StateSignatureIndex:
             # Reusable span: candidates() is never re-entrant, so one
             # cached context manager avoids a per-lookup allocation.
             self._catch_up_span = telemetry.tracer.span("index.catch_up")
-        events = getattr(database, "events", None)
-        if events is not None:
-            # Weak subscription: the database's long-lived bus must not
-            # keep a short-lived (e.g. per-replay) index alive.
-            events.subscribe(
-                "stream_removed", self._on_stream_removed, weak=True
-            )
-
-    def _on_stream_removed(self, event) -> None:
-        """Backend mutation event: drop length indexes holding the stream.
-
-        This is the push-path counterpart of :meth:`_check_removals`,
-        delivered synchronously by the backend's event bus at removal
-        time; the epoch poll stays as a fallback for indexes wired to a
-        database whose bus was reset (e.g. after ``copy.deepcopy``).
-        """
-        stream_id = event["stream_id"]
-        stale = [
-            n
-            for n, length_index in self._by_length.items()
-            if stream_id in length_index.indexed_streams
-        ]
-        for n in stale:
-            del self._by_length[n]
-        self._removal_epoch = self.database.removal_epoch
 
     def candidates(self, signature) -> CandidateSet | None:
         """All windows whose segment states equal ``signature``.
@@ -954,25 +924,19 @@ class StateSignatureIndex:
         return restored
 
     def _check_removals(self) -> None:
-        """Drop length indexes holding windows of since-removed streams.
+        """Drop every length index once any stream was removed.
 
-        Removal is rare (replay cleanup), so affected lengths are rebuilt
-        from scratch on their next lookup rather than tombstoned; the
-        epoch counter makes the append-only common case free.
+        The index's one removal path: it compares the database's removal
+        epoch at each lookup, so a copied index (``copy.deepcopy``) or
+        one whose stream was removed and re-created under the same id
+        between lookups never serves the old windows.  Removal is rare
+        (replay cleanup), so lengths rebuild from scratch on their next
+        lookup rather than being tombstoned; the epoch counter makes the
+        append-only common case free.
         """
-        if self._removal_epoch == self.database.removal_epoch:
-            return
-        self._removal_epoch = self.database.removal_epoch
-        stale = [
-            n
-            for n, length_index in self._by_length.items()
-            if any(
-                stream_id not in self.database
-                for stream_id in length_index.indexed_streams
-            )
-        ]
-        for n in stale:
-            del self._by_length[n]
+        if self._removal_epoch != self.database.removal_epoch:
+            self._removal_epoch = self.database.removal_epoch
+            self._by_length.clear()
 
     @property
     def indexed_lengths(self) -> tuple[int, ...]:

@@ -19,7 +19,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from ..core.model import BreathingState, PLRSeries, Vertex
+from ..core.model import PLRSeries, Vertex
 from ..core.similarity import SourceRelation
 from ..events import EventBus
 from ..signals.patients import PatientAttributes
@@ -311,6 +311,11 @@ class MotionDatabase:
     ) -> "MotionDatabase":
         """Rebuild a database from a :meth:`save` snapshot.
 
+        Each stream's series is decoded by :meth:`PLRSeries.from_payload
+        <repro.core.model.PLRSeries.from_payload>`, which raises
+        :class:`ValueError` for non-finite or non-increasing times,
+        non-finite positions or a state outside the alphabet.
+
         Parameters
         ----------
         path:
@@ -331,17 +336,10 @@ class MotionDatabase:
             )
             db.add_patient(patient_payload["patient_id"], attributes)
             for stream_payload in patient_payload["streams"]:
-                series = PLRSeries()
-                for t, pos, state in zip(
-                    stream_payload["times"],
-                    stream_payload["positions"],
-                    stream_payload["states"],
-                ):
-                    series.append(Vertex(t, tuple(pos), BreathingState(state)))
                 db.add_stream(
                     patient_id=patient_payload["patient_id"],
                     session_id=stream_payload["session_id"],
-                    series=series,
+                    series=PLRSeries.from_payload(stream_payload),
                     stream_id=stream_payload["stream_id"],
                     metadata=stream_payload.get("metadata", {}),
                 )
@@ -367,9 +365,7 @@ class MotionDatabase:
                     "stream_id": stream.stream_id,
                     "session_id": stream.session_id,
                     "metadata": stream.metadata,
-                    "times": stream.series.times.tolist(),
-                    "positions": stream.series.positions.tolist(),
-                    "states": stream.series.states.tolist(),
+                    **stream.series.to_payload(),
                 }
                 for stream in patient.streams.values()
             ],

@@ -9,13 +9,11 @@ many consumers.
 from __future__ import annotations
 
 import math
-from types import MappingProxyType
 
 from .metrics import HistogramSnapshot, RegistrySnapshot
 from .telemetry import TelemetrySnapshot
 
 __all__ = [
-    "registry_snapshot_from_payload",
     "render_text",
     "snapshot_payload",
 ]
@@ -73,46 +71,6 @@ def snapshot_payload(snapshot: TelemetrySnapshot) -> dict:
             for span in snapshot.spans
         ],
     }
-
-
-def _histogram_from_payload(payload: dict) -> HistogramSnapshot:
-    """Invert :func:`_histogram_payload` (derived stats are recomputed)."""
-    vmin = payload["min"]
-    vmax = payload["max"]
-    return HistogramSnapshot(
-        bounds=tuple(payload["bounds"]),
-        counts=tuple(payload["counts"]),
-        total=payload["total"],
-        count=payload["count"],
-        # An empty histogram serialises min/max as null; the live
-        # representation uses the merge identities +-inf.
-        vmin=math.inf if vmin is None else vmin,
-        vmax=-math.inf if vmax is None else vmax,
-    )
-
-
-def registry_snapshot_from_payload(payload: dict) -> RegistrySnapshot:
-    """Rebuild a :class:`RegistrySnapshot` from its exposition payload.
-
-    The inverse of :func:`_registry_payload` (the ``registry`` /
-    ``scopes[...]`` / ``merged`` blocks of :func:`snapshot_payload`).
-    Shard workers report their registries in payload form; the
-    coordinator decodes them with this and folds the shards into one
-    fleet view via :meth:`RegistrySnapshot.merge
-    <repro.obs.metrics.RegistrySnapshot.merge>` — counters and
-    histogram buckets are integers and sums of exact floats, so the
-    merged counts equal a single-process registry's exactly.
-    """
-    return RegistrySnapshot(
-        counters=MappingProxyType(dict(payload["counters"])),
-        gauges=MappingProxyType(dict(payload["gauges"])),
-        histograms=MappingProxyType(
-            {
-                name: _histogram_from_payload(hist)
-                for name, hist in payload["histograms"].items()
-            }
-        ),
-    )
 
 
 def _format_seconds(value: float) -> str:

@@ -17,7 +17,7 @@ ingestors but shares a single matcher/index this way).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from ..core.matching import SubsequenceMatcher
@@ -26,35 +26,11 @@ from ..core.prediction import OnlinePredictor
 from ..core.query import QueryConfig, generate_query
 from ..core.segmentation import OnlineSegmenter, SegmenterConfig
 from ..core.similarity import SimilarityParams
-from ..core.stability import StabilityConfig
 from ..database.ingest import StreamIngestor
 from ..database.store import MotionDatabase
 from ..events import EventBus
 
-__all__ = [
-    "Pipeline",
-    "PipelineBuilder",
-    "query_config_from_payload",
-    "query_config_to_payload",
-]
-
-
-def query_config_to_payload(config: QueryConfig) -> dict:
-    """JSON-serialisable form of a :class:`QueryConfig` (nested stability)."""
-    return {
-        "min_cycles": config.min_cycles,
-        "max_cycles": config.max_cycles,
-        "stability": asdict(config.stability),
-    }
-
-
-def query_config_from_payload(payload: Mapping[str, Any]) -> QueryConfig:
-    """Inverse of :func:`query_config_to_payload`."""
-    return QueryConfig(
-        min_cycles=payload["min_cycles"],
-        max_cycles=payload["max_cycles"],
-        stability=StabilityConfig(**payload["stability"]),
-    )
+__all__ = ["Pipeline", "PipelineBuilder"]
 
 
 @dataclass
@@ -149,48 +125,6 @@ class PipelineBuilder:
             segmenter=spec.segmenter,
             fsa_factory=spec.fsa.copy,
             metadata={"domain": spec.name},
-        )
-
-    # -- wire form (shard workers rebuild their pipelines from this) -----------
-
-    def to_payload(self) -> dict:
-        """JSON-serialisable form of this builder's parameters.
-
-        All three config dataclasses are flat float/bool records (plus
-        the nested stability block), so the payload round-trips
-        bit-exactly and a shard worker spawned from it builds a pipeline
-        identical to the coordinator's.  ``fsa_factory`` is live code
-        and cannot cross a process boundary — sharded serving currently
-        covers the default (respiratory) domain only.
-        """
-        if self.fsa_factory is not None:
-            raise TypeError(
-                "a PipelineBuilder with a custom fsa_factory is not "
-                "portable to shard workers"
-            )
-        return {
-            "similarity": asdict(self.similarity),
-            "query": query_config_to_payload(self.query),
-            "segmenter": asdict(self.segmenter),
-            "use_index": self.use_index,
-            "min_matches": self.min_matches,
-            "max_matches": self.max_matches,
-            "anchor": self.anchor,
-            "metadata": dict(self.metadata) if self.metadata is not None else None,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "PipelineBuilder":
-        """Inverse of :meth:`to_payload`."""
-        return cls(
-            similarity=SimilarityParams(**payload["similarity"]),
-            query=query_config_from_payload(payload["query"]),
-            segmenter=SegmenterConfig(**payload["segmenter"]),
-            use_index=payload["use_index"],
-            min_matches=payload["min_matches"],
-            max_matches=payload["max_matches"],
-            anchor=payload["anchor"],
-            metadata=payload["metadata"],
         )
 
     # -- component factories ----------------------------------------------------

@@ -348,18 +348,11 @@ class SessionManager:
         :meth:`compact` so its per-shard raw-frame log can be truncated
         at the compaction watermark: crash recovery restores this
         checkpoint and re-feeds only the post-watermark frames instead
-        of replaying every frame since the session opened.
+        of replaying every frame since the session opened.  A value for
+        the codec (:func:`~repro.events.encode_value`).
         """
-        pool = {
-            sid: {
-                "times": series.times.tolist(),
-                "positions": series.positions.tolist(),
-                "states": [int(s) for s in series.states],
-            }
-            for sid, series in self._foreign_series.items()
-        }
         return {
-            "pool": pool,
+            "pool": dict(self._foreign_series),
             "sessions": [
                 session.checkpoint() for session in self._sessions.values()
             ],
@@ -373,20 +366,10 @@ class SessionManager:
         started after the checkpoint (``{"open": {"patient_id", ...,
         "session_id"}}``); order matters — it is the fleet's session-open
         order, which drives tick dispatch and prediction batching.
+        ``pool`` is the checkpoint's foreign series pool.
         """
-        from ..core.model import PLRSeries
-
         if pool:
-            self._foreign_series.update(
-                {
-                    sid: PLRSeries.from_dense(
-                        np.asarray(payload["times"], dtype=float),
-                        np.asarray(payload["positions"], dtype=float),
-                        np.asarray(payload["states"], dtype=np.int8),
-                    )
-                    for sid, payload in pool.items()
-                }
-            )
+            self._foreign_series.update(pool)
         for entry in entries:
             if "open" in entry:
                 spec = entry["open"]
@@ -396,12 +379,7 @@ class SessionManager:
             session = self.open_session(
                 checkpoint["patient_id"], checkpoint["session_id"]
             )
-            foreign = {
-                sid: self._foreign_series[sid]
-                for sid in checkpoint["foreign"]
-                if sid in self._foreign_series
-            }
-            session.restore(checkpoint, foreign or None)
+            session.restore(checkpoint, self._foreign_series)
 
     def query_view(self, stream_id: str):
         """The portable projection of one tenant's current query.
@@ -430,18 +408,12 @@ class SessionManager:
         Shipped series pool at the manager level: the coordinator sends
         each foreign stream to a shard **once**, so a later adoption by
         a different tenant may reference a stream shipped for an earlier
-        one.  Every adoption re-resolves its matches against the pool,
+        one.  Every adoption resolves its matches against the pool,
         which makes per-shard shipping dedup safe across tenants.
         """
         if foreign_series:
             self._foreign_series.update(foreign_series)
-        pooled = {
-            match.stream_id: self._foreign_series[match.stream_id]
-            for match in matches
-            if match.stream_id not in self.database
-            and match.stream_id in self._foreign_series
-        }
-        self._sessions[stream_id].adopt_matches(matches, pooled or None)
+        self._sessions[stream_id].adopt_matches(matches, self._foreign_series)
 
     # -- introspection ----------------------------------------------------------
 

@@ -9,7 +9,8 @@ index shard (one :class:`~repro.database.backend.LoggedBackend`
 directory) and hosts the live sessions of its patients inside an
 ordinary ``SessionManager``.  A front-end :class:`ShardCoordinator`
 scatters retrievals and prediction ticks over a length-prefixed JSON
-wire protocol and merges per-shard top-k lists into the global result.
+wire protocol (every frame one :func:`~repro.events.encode_value` value)
+and merges per-shard top-k lists into the global result.
 
 **Byte-identity contract.**  Sharded serving returns exactly the bytes
 the single-process path returns, by construction:
@@ -28,17 +29,17 @@ the single-process path returns, by construction:
 * Cross-shard matches reference immutable historical streams only
   (every worker excludes its own live tenants from scatter lookups),
   so the coordinator ships each foreign series once — bit-exact over
-  JSON float ``repr`` — and the home session's prediction plan resolves
-  it from a local cache.
+  JSON float ``repr`` — and the home session resolves it from the
+  shard's pool when it adopts the merged matches.
 
 **Crash contract.**  A worker that dies mid-serve (EOF on its socket),
 or whose reply frame is corrupt (:class:`WireCorrupt`: a length prefix
-over :data:`MAX_FRAME_BYTES`, or a body that is not a UTF-8 JSON
-object), raises :class:`WorkerCrashed`; the coordinator respawns the
-worker over the same shard directory (journal replay + snapshot
-recovery restore the historical state), drops the stale partial live
-streams, re-opens the shard's sessions and re-feeds their raw frames
-from the coordinator's frame log.  Segmentation is deterministic, so the
+over :data:`MAX_FRAME_BYTES`, or a body that is not UTF-8 JSON the
+codec decodes to an object), raises :class:`WorkerCrashed`; the
+coordinator respawns the worker over the same shard directory (journal
+replay + snapshot recovery restore the historical state), drops the
+stale partial live streams, re-opens the shard's sessions and re-feeds
+their raw frames from the coordinator's frame log.  Segmentation is deterministic, so the
 recovered shard's series, matches and predictions are byte-identical
 to a run without the crash; survivors are untouched (re-sent frames
 are dropped by the sessions' stale-clock guard).  Scatter lookups are
@@ -49,7 +50,7 @@ concurrently while the coordinator stays single-threaded:
 
 1. scatter the tick's samples to each home shard; replies carry the
    refreshed queries (portable :class:`~repro.core.matching.QueryView`
-   payloads plus the home-local top-k) and relayed event envelopes;
+   values plus the home-local top-k) and relayed events;
 2. batch all refreshed queries into one ``scatter_find`` per *other*
    shard and gather the partial top-k lists;
 3. merge, fetch any not-yet-shipped foreign series from their owning
@@ -73,18 +74,13 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..core.matching import Match, PartialTopK, QueryView, match_sort_key
+from ..core.matching import Match, PartialTopK, match_sort_key
 from ..core.model import PLRSeries
 from ..database.store import MotionDatabase
-from ..events import (
-    EventBus,
-    UnknownTagError,
-    decode_event,
-    decode_value,
-    encode_event,
-    encode_value,
-)
-from ..obs.exposition import registry_snapshot_from_payload, snapshot_payload
+# decode_event is not called here, but stays a module attribute: the
+# codec names of this module are where perfbench's tracer times the wire.
+from ..events import EventBus, decode_event, decode_value, encode_value
+from ..obs.exposition import snapshot_payload
 from ..obs.telemetry import Telemetry, default_telemetry
 from .builder import PipelineBuilder
 from .manager import SessionManager
@@ -142,9 +138,11 @@ class WorkerCrashed(RuntimeError):
 
 # -- wire protocol -------------------------------------------------------------
 #
-# One frame = 4-byte big-endian length prefix + compact UTF-8 JSON.
-# Python's json round-trips float repr bit-exactly and both ends are
-# Python, so JSON is as faithful as msgpack here without a dependency.
+# One frame = 4-byte big-endian length prefix + compact UTF-8 JSON of
+# the frame's encode_value form; the reader decodes the whole frame with
+# one decode_value call before the caller applies any of it.  Python's
+# json round-trips float repr bit-exactly and both ends are Python, so
+# JSON is as faithful as msgpack here without a dependency.
 
 #: Largest frame body a reader accepts.  The largest frame the sharded
 #: test suite sends (tests/test_sharding.py and tests/test_cli.py) is a
@@ -156,7 +154,7 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
 def _send_frame(sock: socket.socket, obj: dict) -> None:
-    data = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    data = json.dumps(encode_value(obj), separators=(",", ":")).encode("utf-8")
     sock.sendall(struct.pack(">I", len(data)) + data)
 
 
@@ -174,37 +172,16 @@ def _recv_frame(reader) -> dict:
     if len(data) < length:
         raise WireEOF("peer closed the connection mid-frame")
     try:
-        frame = json.loads(data.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+        frame = decode_value(json.loads(data.decode("utf-8")))
+    except (ValueError, RecursionError) as exc:
+        # UnicodeDecodeError, JSONDecodeError, DecodeError, or nesting
+        # deeper than the interpreter's stack.
         raise WireCorrupt(f"undecodable frame body: {exc}") from None
-    if not isinstance(frame, dict):
+    if type(frame) is not dict:
         raise WireCorrupt(
-            f"frame body is a JSON {type(frame).__name__}, not an object"
+            f"frame body decodes to a {type(frame).__name__}, not an object"
         )
     return frame
-
-
-def _decode_reply(reply: dict) -> dict:
-    """Decode a reply's tagged payloads (matches, predictions, events) in
-    place, so that a reply that cannot be decoded takes the crash path
-    (:class:`WireCorrupt`) before the caller applies any of the
-    exchange.  Query views stay encoded: they are forwarded as they are.
-    """
-    try:
-        for entry in reply.get("refreshed", []) + reply.get("results", []):
-            entry["matches"] = decode_value(entry["matches"])
-        if "matches" in reply:
-            reply["matches"] = decode_value(reply["matches"])
-        if "predictions" in reply:
-            reply["predictions"] = {
-                sid: decode_value(encoded)
-                for sid, encoded in reply["predictions"].items()
-            }
-        if "events" in reply:
-            reply["events"] = [decode_event(e) for e in reply["events"]]
-    except UnknownTagError as exc:
-        raise WireCorrupt(f"undecodable reply: {exc}") from None
-    return reply
 
 
 # -- consistent-hash router ----------------------------------------------------
@@ -298,23 +275,7 @@ def partition_database(
     return router
 
 
-# -- series shipping -----------------------------------------------------------
-
-
-def _series_payload(series: PLRSeries) -> dict:
-    return {
-        "times": series.times.tolist(),
-        "positions": series.positions.tolist(),
-        "states": [int(s) for s in series.states],
-    }
-
-
-def _series_from_payload(payload: Mapping[str, Any]) -> PLRSeries:
-    return PLRSeries.from_dense(
-        np.asarray(payload["times"], dtype=float),
-        np.asarray(payload["positions"], dtype=float),
-        np.asarray(payload["states"], dtype=np.int8),
-    )
+# -- series fingerprints -------------------------------------------------------
 
 
 def _series_digest(series: PLRSeries) -> str:
@@ -334,8 +295,8 @@ class ShardWorker:
 
     Runs inside the worker process (:func:`worker_main`).  Owns the
     shard's durable database, hosts its patients' live sessions, and
-    answers coordinator RPCs.  Local event traffic is queued as encoded
-    envelopes and piggybacked on the next ``tick`` / ``predict`` reply.
+    answers coordinator RPCs.  Local event traffic is queued and
+    piggybacked on the next ``tick`` / ``predict`` reply.
     """
 
     def __init__(
@@ -360,13 +321,12 @@ class ShardWorker:
         telemetry = (
             Telemetry() if payload.get("telemetry") else default_telemetry()
         )
-        builder = PipelineBuilder.from_payload(payload["builder"])
         database = MotionDatabase.open_shard(
             payload["root"], shard, injector, telemetry=telemetry
         )
         self.manager = SessionManager(
             database=database,
-            builder=builder,
+            builder=payload["builder"],
             injector=injector,
             telemetry=telemetry,
         )
@@ -376,7 +336,7 @@ class ShardWorker:
             self._c_rpcs = registry.counter("shard.rpcs")
             self._c_find_serves = registry.counter("shard.find_serves")
             self._c_relayed = registry.counter("shard.events_relayed")
-        self._events: list[dict] = []
+        self._events: list = []
         self._refreshed: dict[str, None] = {}
         relay_kinds = payload.get("relay_kinds")
         if relay_kinds is None:
@@ -388,14 +348,14 @@ class ShardWorker:
     # -- bus taps ----------------------------------------------------------------
 
     def _relay(self, event) -> None:
-        self._events.append(encode_event(event))
+        self._events.append(event)
         if self._t is not None:
             self._c_relayed.inc()
 
     def _on_refresh(self, event) -> None:
         self._refreshed[event["stream_id"]] = None
 
-    def _drain_events(self) -> list[dict]:
+    def _drain_events(self) -> list:
         events, self._events = self._events, []
         return events
 
@@ -429,8 +389,8 @@ class ShardWorker:
             refreshed.append(
                 {
                     "stream_id": stream_id,
-                    "query": None if view is None else view.to_payload(),
-                    "matches": encode_value(session.matches),
+                    "query": view,
+                    "matches": session.matches,
                 }
             )
         return {
@@ -449,16 +409,13 @@ class ShardWorker:
         results = []
         for entry in request["queries"]:
             partial = manager.matcher.find_partial(
-                QueryView.from_payload(entry["view"]),
+                entry["view"],
                 max_matches=manager.builder.max_matches,
                 exclude_streams=exclude,
                 params=manager.builder.similarity,
             )
             results.append(
-                {
-                    "qid": entry["qid"],
-                    "matches": encode_value(list(partial.matches)),
-                }
+                {"qid": entry["qid"], "matches": list(partial.matches)}
             )
             if self._t is not None:
                 self._c_find_serves.inc()
@@ -466,24 +423,14 @@ class ShardWorker:
 
     def _op_complete_refresh(self, request) -> dict:
         for adoption in request["adoptions"]:
-            foreign = {
-                sid: _series_from_payload(payload)
-                for sid, payload in adoption["series"].items()
-            }
             self.manager.adopt_matches(
-                adoption["stream_id"],
-                decode_value(adoption["matches"]),
-                foreign,
+                adoption["stream_id"], adoption["matches"], adoption["series"]
             )
         return {}
 
     def _op_predict_ahead_all(self, request) -> dict:
-        predictions = self.manager.predict_ahead_all(request["latency"])
         return {
-            "predictions": {
-                sid: None if pos is None else encode_value(pos)
-                for sid, pos in predictions.items()
-            },
+            "predictions": self.manager.predict_ahead_all(request["latency"]),
             "events": self._drain_events(),
         }
 
@@ -491,14 +438,13 @@ class ShardWorker:
         db = self.manager.database
         return {
             "series": {
-                sid: _series_payload(db.stream(sid).series)
-                for sid in request["stream_ids"]
+                sid: db.stream(sid).series for sid in request["stream_ids"]
             }
         }
 
     def _op_get_matches(self, request) -> dict:
         session = self.manager.session(request["stream_id"])
-        return {"matches": encode_value(session.matches)}
+        return {"matches": session.matches}
 
     def _op_digests(self, request) -> dict:
         db = self.manager.database
@@ -545,9 +491,7 @@ class ShardWorker:
         return {}
 
     def _op_snapshot(self, request) -> dict:
-        if self._t is None:
-            return {"snapshot": None}
-        return {"snapshot": snapshot_payload(self._t.snapshot())}
+        return {"snapshot": None if self._t is None else self._t.snapshot()}
 
     def _op_shutdown(self, request) -> dict:
         return {}
@@ -563,6 +507,11 @@ class ShardWorker:
             request = _recv_frame(self.reader)
             try:
                 reply = self.handle(request)
+                reply["ok"] = True
+                # Encoding runs before any byte is sent, so a reply that
+                # holds a value the codec cannot carry (say, a relayed
+                # event's payload) is answered as a failed RPC.
+                _send_frame(self.sock, reply)
             except SimulatedCrash:
                 # A chaos fault fired inside the serve path: die like a
                 # real crash — no reply, no cleanup, no flush.  The
@@ -574,8 +523,6 @@ class ShardWorker:
                     {"ok": False, "error": f"{type(exc).__name__}: {exc}"},
                 )
                 continue
-            reply["ok"] = True
-            _send_frame(self.sock, reply)
             if request["op"] == "shutdown":
                 break
         self.manager.close(keep_streams=True)
@@ -605,9 +552,11 @@ class ShardCoordinator:
     n_workers:
         Number of worker processes to spawn.
     builder:
-        Pipeline parameters, shipped to every worker (must be portable —
-        see :meth:`PipelineBuilder.to_payload`).  Sessions opened through
-        the coordinator use the builder-derived default config.
+        Pipeline parameters, passed to every worker process (pickled by
+        the ``spawn`` start method).  A custom ``fsa_factory`` raises
+        :class:`TypeError`: sharded serving covers the default
+        (respiratory) domain only.  Sessions opened through the
+        coordinator use the builder-derived default config.
     events:
         Coordinator-side bus; workers' relayed events are re-published
         here (kinds in ``relay_kinds``).
@@ -643,6 +592,11 @@ class ShardCoordinator:
     ) -> None:
         self.root = Path(root)
         self.builder = builder if builder is not None else PipelineBuilder()
+        if self.builder.fsa_factory is not None:
+            raise TypeError(
+                "a PipelineBuilder with a custom fsa_factory is not "
+                "portable to shard workers"
+            )
         self.router = ShardRouter(n_workers, vnodes)
         self.events = events if events is not None else EventBus()
         self.telemetry = (
@@ -651,7 +605,7 @@ class ShardCoordinator:
         self.max_recoveries = max_recoveries
         self._worker_payload = {
             "root": str(self.root),
-            "builder": self.builder.to_payload(),
+            "builder": self.builder,
             "telemetry": bool(worker_telemetry),
             "relay_kinds": (
                 list(relay_kinds) if relay_kinds is not None else None
@@ -698,9 +652,9 @@ class ShardCoordinator:
         }
         #: Refreshed queries whose cross-shard completion is outstanding.
         self._pending: dict[str, dict] = {}
-        #: Foreign-series shipping state: coordinator-wide payload cache
+        #: Foreign-series shipping state: coordinator-wide series cache
         #: plus the set of stream ids already shipped to each shard.
-        self._series_cache: dict[str, dict] = {}
+        self._series_cache: dict[str, PLRSeries] = {}
         self._shipped: dict[int, set[str]] = {s: set() for s in range(n_workers)}
         for shard in range(n_workers):
             self._spawn(shard, with_fault=True)
@@ -755,9 +709,7 @@ class ShardCoordinator:
         replies: dict[int, dict] = {}
         for shard in sent:
             try:
-                replies[shard] = _decode_reply(
-                    _recv_frame(self._readers[shard])
-                )
+                replies[shard] = _recv_frame(self._readers[shard])
             except (OSError, WireEOF):
                 # EOF for a clean death; ECONNRESET for a hard kill.
                 crashed = shard
@@ -776,7 +728,7 @@ class ShardCoordinator:
     def _request(self, shard: int, request: dict) -> dict:
         try:
             _send_frame(self._socks[shard], request)
-            reply = _decode_reply(_recv_frame(self._readers[shard]))
+            reply = _recv_frame(self._readers[shard])
         except (OSError, WireEOF):
             raise WorkerCrashed(shard) from None
         return self._check_reply(shard, reply)
@@ -981,7 +933,7 @@ class ShardCoordinator:
                 if match.stream_id not in self._shipped[home]:
                     if match.stream_id not in self._series_cache:
                         need.setdefault(owner, set()).add(match.stream_id)
-        # Phase 3b: fetch series payloads this coordinator has never seen.
+        # Phase 3b: fetch series this coordinator has never seen.
         if need:
             replies, crashed = self._exchange(
                 {
@@ -996,7 +948,7 @@ class ShardCoordinator:
         # Phase 3c: deliver merged matches + missing series to home shards.
         for sid, merged in merged_of.items():
             home = pending[sid]["shard"]
-            series: dict[str, dict] = {}
+            series: dict[str, PLRSeries] = {}
             for match in merged:
                 owner = owner_of.get(match.stream_id)
                 if owner is None or owner == home:
@@ -1007,7 +959,7 @@ class ShardCoordinator:
             adoptions.setdefault(home, []).append(
                 {
                     "stream_id": sid,
-                    "matches": encode_value(merged),
+                    "matches": merged,
                     "series": series,
                 }
             )
@@ -1136,8 +1088,9 @@ class ShardCoordinator:
             request["stream_ids"] = list(stream_ids)
         return self._request(shard, request)["digests"]
 
-    def worker_snapshots(self) -> dict[int, dict | None]:
-        """Each worker's telemetry snapshot payload (``None`` if off)."""
+    def _worker_telemetry(self) -> dict[int, Any]:
+        """Each worker's :class:`~repro.obs.telemetry.TelemetrySnapshot`
+        (``None`` where its telemetry is off)."""
         replies, crashed = self._exchange(
             {shard: {"op": "snapshot"} for shard in range(self.n_workers)}
         )
@@ -1145,23 +1098,29 @@ class ShardCoordinator:
             raise WorkerCrashed(crashed)
         return {shard: reply["snapshot"] for shard, reply in replies.items()}
 
+    def worker_snapshots(self) -> dict[int, dict | None]:
+        """Each worker's telemetry snapshot as its exposition payload
+        (:func:`~repro.obs.exposition.snapshot_payload`; ``None`` if
+        off)."""
+        return {
+            shard: None if snapshot is None else snapshot_payload(snapshot)
+            for shard, snapshot in self._worker_telemetry().items()
+        }
+
     def fleet_registry(self):
         """All workers' merged registries folded into one fleet view.
 
-        Decodes each worker-reported snapshot payload and folds the
-        shard-scoped children under a single
+        Folds each worker's decoded snapshot, shard-scoped children
+        included, into a single
         :class:`~repro.obs.metrics.RegistrySnapshot`; counter totals
         equal a single-process registry's exactly (integer sums).
         """
         from ..obs.metrics import RegistrySnapshot
 
         fleet = RegistrySnapshot.empty()
-        for payload in self.worker_snapshots().values():
-            if payload is None:
-                continue
-            fleet = fleet.merge(
-                registry_snapshot_from_payload(payload["merged"])
-            )
+        for snapshot in self._worker_telemetry().values():
+            if snapshot is not None:
+                fleet = fleet.merge(snapshot.merged)
         return fleet
 
     def live_stream_ids(self) -> tuple[str, ...]:

@@ -1,5 +1,7 @@
 """Tests for the hierarchical motion database (store, records, persistence)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,20 @@ class TestPersistence:
         path = tmp_path / "bogus.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
+            MotionDatabase.load(path)
+
+    @pytest.mark.parametrize(
+        "field, index, value",
+        [("times", 2, float("nan")), ("times", 2, 0.0), ("states", 1, 7)],
+        ids=["nan-time", "decreasing-time", "state-outside-alphabet"],
+    )
+    def test_rejects_a_malformed_series(self, db, tmp_path, field, index, value):
+        path = tmp_path / "snapshot.json"
+        db.save(path)
+        payload = json.loads(path.read_text())
+        payload["patients"][0]["streams"][0][field][index] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="series"):
             MotionDatabase.load(path)
 
 

@@ -1,7 +1,6 @@
 """Tests for the synchronous event bus."""
 
 import copy
-import gc
 
 import pytest
 
@@ -58,6 +57,21 @@ class TestEventBus:
         assert seen == []
         assert not bus.has_subscribers("tick")
 
+    def test_unsubscribe_a_bound_method(self):
+        class Listener:
+            def __init__(self):
+                self.seen = []
+
+            def on_event(self, event):
+                self.seen.append(event)
+
+        bus = EventBus()
+        listener = Listener()
+        bus.subscribe("tick", listener.on_event)
+        bus.unsubscribe("tick", listener.on_event)
+        bus.publish("tick")
+        assert listener.seen == []
+
     def test_has_subscribers(self):
         bus = EventBus()
         assert not bus.has_subscribers("tick")
@@ -76,55 +90,6 @@ class TestEventBus:
         with pytest.raises(RuntimeError):
             bus.publish("commit")
 
-    def test_weak_subscription_dies_with_subscriber(self):
-        bus = EventBus()
-
-        class Listener:
-            def __init__(self):
-                self.seen = []
-
-            def on_event(self, event):
-                self.seen.append(event)
-
-        listener = Listener()
-        bus.subscribe("tick", listener.on_event, weak=True)
-        bus.publish("tick")
-        assert len(listener.seen) == 1
-        del listener
-        gc.collect()
-        # The dead entry is pruned on the next publish.
-        assert bus.publish("tick") is not None
-        bus.publish("tick")
-
-    def test_subscribe_prunes_dead_weak_entries(self):
-        """Every signature index subscribes weakly to its database's
-        ``stream_removed``; a kind that is never published must not
-        keep one dead entry per index that came and went."""
-        from repro.database.index import StateSignatureIndex
-        from repro.database.store import MotionDatabase
-
-        db = MotionDatabase()
-        for _ in range(1000):
-            StateSignatureIndex(db)
-        gc.collect()
-        assert len(db.events._subscribers["stream_removed"]) <= 1
-
-    def test_weak_unsubscribe(self):
-        bus = EventBus()
-
-        class Listener:
-            def __init__(self):
-                self.seen = []
-
-            def on_event(self, event):
-                self.seen.append(event)
-
-        listener = Listener()
-        bus.subscribe("tick", listener.on_event, weak=True)
-        bus.unsubscribe("tick", listener.on_event)
-        bus.publish("tick")
-        assert listener.seen == []
-
     def test_deepcopy_yields_quiet_bus(self):
         bus = EventBus()
         seen = []
@@ -138,7 +103,7 @@ class TestEventBus:
 # -- envelope portability ------------------------------------------------------
 #
 # Every event kind the codebase publishes must survive the relay wire:
-# encode_event -> JSON text -> decode_event, bit-exact.  The strategies
+# encode_value -> JSON text -> decode_event, bit-exact.  The strategies
 # below mirror each publisher's actual payload shape; a new published
 # kind must be added to EVENT_PAYLOADS or the coverage test fails.
 
@@ -150,15 +115,16 @@ from hypothesis import strategies as st
 
 from repro.core.matching import Match, SourceRelation
 from repro.core.model import BreathingState, Vertex
-from repro.events import (
-    UnknownTagError,
-    decode_event,
-    decode_value,
-    encode_event,
-    encode_value,
-)
+from repro.events import DecodeError, decode_event, decode_value, encode_value
 from repro.obs import Telemetry
 from repro.obs.telemetry import TelemetrySnapshot
+
+from tests_support import (
+    INVALID_FIELDS,
+    codec_samples,
+    json_values,
+    mutated_encodings,
+)
 
 _finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 _ids = st.text(
@@ -314,7 +280,7 @@ class TestEventEnvelopePortability:
     def test_round_trip_is_bit_exact(self, kind, data):
         payload = data.draw(EVENT_PAYLOADS[kind])
         event = Event(kind, payload)
-        envelope = encode_event(event)
+        envelope = encode_value(event)
         # The relay wire: envelope -> JSON text -> envelope.
         decoded = decode_event(json.loads(json.dumps(envelope)))
         assert decoded.kind == kind
@@ -347,7 +313,58 @@ class TestEventEnvelopePortability:
             encode_value(object())
 
     def test_unknown_tag_raises_a_typed_value_error(self):
-        envelope = {"kind": "alarm", "data": {"x": {"__repro__": "bogus"}}}
-        with pytest.raises(UnknownTagError, match="bogus"):
+        envelope = {
+            "__repro__": "event",
+            "kind": "alarm",
+            "data": {"x": {"__repro__": "bogus"}},
+        }
+        with pytest.raises(DecodeError, match="bogus"):
             decode_event(envelope)
-        assert issubclass(UnknownTagError, ValueError)
+        assert issubclass(DecodeError, ValueError)
+
+
+# -- decoder fuzzing -----------------------------------------------------------
+#
+# decode_value / decode_event read values another process wrote: any JSON
+# value must decode or raise DecodeError, and nothing else may escape.
+
+
+class TestDecoderFuzz:
+    def test_every_codec_tag_has_a_sample(self):
+        from repro.events import _codec_types
+
+        samples = codec_samples()
+        assert set(samples) == set(_codec_types()[1]) == set(INVALID_FIELDS)
+        for tag, value in samples.items():
+            encoded = json.loads(json.dumps(encode_value(value)))
+            assert encoded["__repro__"] == tag
+            decoded = decode_value(encoded)
+            assert type(decoded) is type(value), tag
+            assert encode_value(decoded) == encode_value(value), tag
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=json_values())
+    def test_arbitrary_json_decodes_or_raises_the_typed_error(self, value):
+        for decode in (decode_value, decode_event):
+            try:
+                decode(value)
+            except DecodeError:
+                pass
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=mutated_encodings())
+    def test_a_malformed_field_raises_the_typed_error(self, case):
+        tag, value, must_refuse = case
+        wire = json.loads(json.dumps(value))
+        if must_refuse:
+            with pytest.raises(DecodeError):
+                decode_value(wire)
+        else:
+            try:
+                decode_value(wire)
+            except DecodeError:
+                pass
+
+    def test_a_non_event_is_refused_by_decode_event(self):
+        with pytest.raises(DecodeError, match="not an encoded event"):
+            decode_event(encode_value(Vertex(1.0, (0.0,), BreathingState.EX)))

@@ -1,12 +1,15 @@
 """Tests for the state-signature index."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro.core.matching import SubsequenceMatcher
 from repro.core.model import PLRSeries, Vertex
+from repro.database.backend import create_backend
 from repro.database.index import (
     MAX_RADIX_SEGMENTS,
     N_STATES,
@@ -249,7 +252,8 @@ class TestIncrementality:
         assert len(got) == len(set(got))
 
     def test_removal_of_unindexed_stream_keeps_index(self, db):
-        """Removing a stream no length index touched must not rebuild."""
+        """Removing a stream no length index touched keeps the answers
+        exact (every length rebuilds on its next lookup)."""
         db.add_stream("PB", "S01", series=make_series(2))
         index = StateSignatureIndex(db)
         signature = (int(IN), int(EX), int(EOE), int(IN), int(EX))
@@ -259,6 +263,38 @@ class TestIncrementality:
         index.candidates(signature)
         db.remove_stream("PB/S02")  # 4 vertices: never indexed at length 6
         assert all_candidates(index, signature) == brute_force(db, signature)
+
+    @pytest.mark.parametrize("backend", ["in_memory", "logged"])
+    def test_copied_matcher_drops_a_recreated_stream(self, backend, tmp_path):
+        """A deep-copied matcher has a quiet event bus, so removals reach
+        its index only through the removal epoch: a stream removed and
+        re-created under its id (positions x2) between lookups must not
+        be served from the old windows."""
+        database = MotionDatabase(
+            backend=create_backend(backend, str(tmp_path))
+        )
+        for pid, cycles in (("PA", 6), ("PB", 5), ("PC", 4)):
+            database.add_patient(pid)
+            database.add_stream(pid, "S00", series=make_series(cycles))
+        matcher = SubsequenceMatcher(database)
+        query = database.stream("PA/S00").series.suffix(7)
+        assert "PB/S00" in {m.stream_id for m in matcher.find_matches(query)}
+        database.close()  # a logged backend's open journals do not copy
+        clone = copy.deepcopy(matcher)
+        copied = clone.database
+        series = copied.stream("PB/S00").series
+        copied.remove_stream("PB/S00")
+        copied.add_stream(
+            "PB",
+            "S00",
+            series=PLRSeries.from_dense(
+                series.times, 2.0 * series.positions, series.states
+            ),
+        )
+        query = copied.stream("PA/S00").series.suffix(7)
+        fresh = SubsequenceMatcher(copied).find_matches(query)
+        assert list(clone.find_matches(query)) == list(fresh)
+        copied.close()
 
     def test_multiple_lengths_stay_consistent(self, db):
         index = StateSignatureIndex(db)

@@ -17,7 +17,7 @@ Databases go through ``make_test_database`` so the whole file runs
 against both ``REPRO_TEST_BACKEND`` backends.
 """
 
-import json
+import pickle
 
 import numpy as np
 import pytest
@@ -377,10 +377,10 @@ def test_unknown_mode_and_bad_band_are_rejected():
 
 @pytest.mark.parametrize("mode", SWEEP_MODES)
 def test_builder_payload_roundtrip_preserves_mode(mode):
-    """The sharded wire protocol carries the mode without translation."""
+    """Shard workers receive the builder pickled (the ``spawn`` start
+    method), which carries the mode without translation."""
     builder = PipelineBuilder(similarity=MODE_PARAMS[mode])
-    payload = json.loads(json.dumps(builder.to_payload()))
-    rebuilt = PipelineBuilder.from_payload(payload)
+    rebuilt = pickle.loads(pickle.dumps(builder))
     assert rebuilt == builder
     assert rebuilt.similarity.mode is MODE_PARAMS[mode].mode
     assert rebuilt.similarity.warp_band == MODE_PARAMS[mode].warp_band

@@ -24,7 +24,7 @@ from repro.core.model import BreathingState
 from repro.core.online import OnlineAnalysisSession, OnlineSessionConfig
 from repro.core.segmentation import OnlineSegmenter
 from repro.database.store import MotionDatabase
-from repro.events import EventBus
+from repro.events import EventBus, decode_value, encode_value
 from repro.obs import (
     DEFAULT_COUNT_BUCKETS,
     DEFAULT_LATENCY_BUCKETS,
@@ -646,18 +646,16 @@ class TestEnabledDisabledIdentity:
 
 
 class TestCrossProcessRegistries:
-    """Shard workers report registries as JSON payloads; the coordinator
-    decodes them with :func:`registry_snapshot_from_payload` and folds
+    """Shard workers report telemetry snapshots through the value codec;
+    the coordinator decodes them with :func:`decode_value` and folds
     shards into one fleet view.  Counters and histogram buckets are
     exact (integer counts, sums of repr-round-tripped floats), so the
     merged fleet numbers must equal a single-process registry's."""
 
     def test_payload_decode_inverts_encoding(self):
-        from repro.obs.exposition import registry_snapshot_from_payload
-
         merged = _sample_snapshot().merged
-        wire = json.loads(json.dumps(snapshot_payload(_sample_snapshot())))
-        decoded = registry_snapshot_from_payload(wire["merged"])
+        wire = json.loads(json.dumps(encode_value(_sample_snapshot())))
+        decoded = decode_value(wire).merged
         assert decoded.counters == merged.counters
         assert decoded.gauges == merged.gauges
         assert set(decoded.histograms) == set(merged.histograms)
@@ -670,8 +668,6 @@ class TestCrossProcessRegistries:
             assert got.vmin == hist.vmin and got.vmax == hist.vmax
 
     def test_fleet_merge_over_wire_is_exact(self):
-        from repro.obs.exposition import registry_snapshot_from_payload
-
         # Three "workers" with known per-shard counts.
         workers = []
         for shard, n in enumerate((3, 5, 7)):
@@ -686,10 +682,8 @@ class TestCrossProcessRegistries:
         over_wire = RegistrySnapshot.empty()
         for snap in workers:
             live = live.merge(snap.merged)
-            payload = json.loads(json.dumps(snapshot_payload(snap)))
-            over_wire = over_wire.merge(
-                registry_snapshot_from_payload(payload["merged"])
-            )
+            payload = json.loads(json.dumps(encode_value(snap)))
+            over_wire = over_wire.merge(decode_value(payload).merged)
 
         # Exact-count oracle: the fleet view equals the arithmetic sum.
         assert over_wire.counter("shard.rpcs") == 3 + 5 + 7

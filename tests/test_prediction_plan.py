@@ -279,7 +279,7 @@ class TestPlanFromMatchSet:
     ):
         session, raw, _ = telemetry_session
         _warm_up(session, raw.iter_points())
-        payload = session.checkpoint()
+        payload = encode_value(session.checkpoint())
         assert payload["matches"] == encode_value(list(session.matches))
         assert json.dumps(payload["matches"]) == json.dumps(
             [encode_value(m) for m in session.matches]
@@ -685,6 +685,90 @@ class TestMatchedStreamRemoval:
             for sid in live:
                 _assert_same_answers(a[sid], b[sid])
         assert any(p is not None for p in a.values())
+
+    def test_solo_removal_before_the_first_plan_build(self, small_cohort):
+        """A matched stream removed after a refresh but before the first
+        prediction: the match set resolved its series when installed, so
+        the plan built next reads nothing from the database."""
+        pid = small_cohort.patient_ids[0]
+        raw = RespiratorySimulator(
+            small_cohort.profile(pid), SessionConfig(duration=30.0)
+        ).generate_session(5, seed=21)
+        changed, kept = (
+            OnlineAnalysisSession(copy.deepcopy(small_cohort.db), pid, "RM")
+            for _ in range(2)
+        )
+        for t, position in raw.iter_points():
+            changed.observe(t, position)
+            kept.observe(t, position)
+            historical = {m.stream_id for m in changed.matches} - {
+                changed.stream_id
+            }
+            if changed.query is not None and historical:
+                break
+        else:
+            pytest.fail("vacuous: no historical match")
+        changed.db.remove_stream(sorted(historical)[0])
+        self._assert_twins_agree(changed, kept, t)
+
+    def test_fleet_removal_before_the_first_plan_build(self, small_cohort):
+        """The fleet twin of the solo case: a removal between a refresh
+        tick's ``tick`` and its ``predict_ahead_all``."""
+        patients = small_cohort.patient_ids[:3]
+        raws = {
+            pid: RespiratorySimulator(
+                small_cohort.profile(pid), SessionConfig(duration=30.0)
+            ).generate_session(7, seed=80 + k)
+            for k, pid in enumerate(patients)
+        }
+        changed, kept = (
+            SessionManager(copy.deepcopy(small_cohort.db)) for _ in range(2)
+        )
+        for manager in (changed, kept):
+            for pid in patients:
+                manager.open_session(pid, "RM")
+        live = set(changed.live_stream_ids())
+        for i, t in enumerate(raws[patients[0]].times):
+            frame = {f"{pid}/RM": raws[pid].values[i] for pid in patients}
+            changed.tick(float(t), frame)
+            kept.tick(float(t), frame)
+            historical = {
+                m.stream_id for s in changed.sessions() for m in s.matches
+            } - live
+            if historical:
+                break
+        else:
+            pytest.fail("vacuous: no tenant matched history")
+        changed.database.remove_stream(sorted(historical)[0])
+        for latency in (LATENCY, 20.0, LATENCY):
+            a = changed.predict_ahead_all(latency)
+            b = kept.predict_ahead_all(latency)
+            assert list(a) == list(b)
+            for sid in live:
+                _assert_same_answers(a[sid], b[sid])
+        assert any(p is not None for p in a.values())
+
+
+class TestNonFiniteTargets:
+    def test_nan_and_inf_decline_before_the_stack(self, telemetry_session):
+        """A NaN or +inf target is a counted decline that builds no plan
+        and serves nothing; -inf reads the first vertex of the PLR."""
+        session, raw, telemetry = telemetry_session
+        _warm_up(session, raw.iter_points())
+        before = telemetry.registry.snapshot()
+        assert session.predict_at(float("nan")) is None
+        assert session.predict_at(float("inf")) is None
+        first = session.predict_at(-float("inf"))
+        assert first.tobytes() == session.ingestor.series.positions[0].tobytes()
+        after = telemetry.registry.snapshot()
+
+        def moved(name):
+            return after.counter(name) - before.counter(name)
+
+        assert moved("session.predictions_total") == 3
+        assert moved("session.predictions_declined") == 2
+        assert moved("session.predictions_served") == 1
+        assert moved("prediction.plan_builds") == 0
 
 
 class TestPredictionsTotalCounter:

@@ -21,6 +21,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.experiments import CohortConfig, build_cohort
 from repro.core.matching import Match, SourceRelation
@@ -28,7 +30,6 @@ from repro.core.online import OnlineSessionConfig
 from repro.core.similarity import MatchMode, SimilarityParams
 from repro.database.store import MotionDatabase
 from repro.obs import Telemetry
-from repro.obs.exposition import registry_snapshot_from_payload
 from repro.service import (
     PipelineBuilder,
     SessionManager,
@@ -46,6 +47,7 @@ from repro.service.sharding import (
 from repro.signals.respiratory import RespiratorySimulator, SessionConfig
 
 from conftest import make_series
+from tests_support import json_values, mutated_encodings
 
 N_WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
 LATENCY = 0.2
@@ -478,8 +480,9 @@ class TestFleetRegistry:
             db, raws, builder, tmp_path, worker_telemetry=True
         )
         assert set(worker_snaps) == set(range(N_WORKERS))
+        # Each worker's exposition payload (its merged counters).
         per_worker = {
-            shard: registry_snapshot_from_payload(payload["merged"])
+            shard: payload["merged"]["counters"]
             for shard, payload in worker_snaps.items()
         }
         # Exact-count oracle: every frame fed lands in exactly one
@@ -489,13 +492,13 @@ class TestFleetRegistry:
         assert fleet.counter("service.frames") == len(raws) * n_frames
         for name in ("service.frames", "service.ticks", "shard.find_serves"):
             assert fleet.counter(name) == sum(
-                snap.counter(name) for snap in per_worker.values()
+                counters.get(name, 0.0) for counters in per_worker.values()
             )
         # Introspection is itself RPC traffic: the fleet snapshot is
         # taken exactly one RPC (the fleet_registry call) after each
         # per-worker snapshot.
         assert fleet.counter("shard.rpcs") == N_WORKERS + sum(
-            snap.counter("shard.rpcs") for snap in per_worker.values()
+            counters["shard.rpcs"] for counters in per_worker.values()
         )
 
 
@@ -543,7 +546,35 @@ _UNKNOWN_TAG_TICK_REPLY = {
     "ok": True,
     "committed": {},
     "refreshed": [],
-    "events": [{"kind": "alarm", "data": {"x": {"__repro__": "bogus"}}}],
+    "events": [
+        {
+            "__repro__": "event",
+            "kind": "alarm",
+            "data": {"x": {"__repro__": "bogus"}},
+        }
+    ],
+}
+
+#: A parseable tick reply whose one relayed event carries a known tag with
+#: an invalid field: a series whose times decrease.
+_DECREASING_SERIES_TICK_REPLY = {
+    "ok": True,
+    "committed": {},
+    "refreshed": [],
+    "events": [
+        {
+            "__repro__": "event",
+            "kind": "alarm",
+            "data": {
+                "x": {
+                    "__repro__": "series",
+                    "times": [1.0, 0.5],
+                    "positions": [[0.0], [1.0]],
+                    "states": [0, 1],
+                }
+            },
+        }
+    ],
 }
 
 
@@ -575,6 +606,42 @@ class TestWireFrames:
         with pytest.raises(WireCorrupt):
             _recv_frame(io.BytesIO(_frame(body)))
 
+    @settings(max_examples=200, deadline=None)
+    @given(body=st.binary(max_size=64))
+    def test_arbitrary_bytes_read_as_a_frame_or_a_dead_peer(self, body):
+        try:
+            frame = _recv_frame(io.BytesIO(_frame(body)))
+        except WireEOF:  # WireCorrupt included
+            return
+        assert type(frame) is dict
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=json_values())
+    def test_arbitrary_json_reads_as_a_frame_or_corrupt(self, value):
+        body = json.dumps(value).encode("utf-8")
+        try:
+            frame = _recv_frame(io.BytesIO(_frame(body)))
+        except WireCorrupt:
+            return
+        assert type(frame) is dict
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=mutated_encodings())
+    def test_a_malformed_value_makes_the_frame_corrupt(self, case):
+        """A reply carrying a real value of any codec tag with a field
+        dropped, retyped or made invalid is read whole or refused whole."""
+        tag, value, must_refuse = case
+        body = json.dumps({"ok": True, "events": [value]}).encode("utf-8")
+        reader = io.BytesIO(_frame(body))
+        if must_refuse:
+            with pytest.raises(WireCorrupt):
+                _recv_frame(reader)
+        else:
+            try:
+                assert type(_recv_frame(reader)) is dict
+            except WireCorrupt:
+                pass
+
     def test_truncated_body_is_still_eof(self):
         body = json.dumps({"op": "tick"}).encode("utf-8")
         with pytest.raises(WireEOF) as raised:
@@ -587,14 +654,16 @@ class TestWireFrames:
             b"\xff\xff\xff\xff",
             _frame(b"\xff\xfe\xfd\xfc"),
             _frame(json.dumps(_UNKNOWN_TAG_TICK_REPLY).encode("utf-8")),
+            _frame(json.dumps(_DECREASING_SERIES_TICK_REPLY).encode("utf-8")),
         ],
-        ids=["oversized-prefix", "garbled-body", "unknown-tag"],
+        ids=["oversized-prefix", "garbled-body", "unknown-tag", "bad-series"],
     )
     def test_corrupt_reply_recovers_byte_identically(self, tmp_path, garbage):
         """A corrupt reply takes the crash path: respawn, journal replay
         and frame-log re-feed, then serving stays byte-identical.  A
-        well-formed reply whose payload names an unknown envelope tag is
-        corrupt too, and none of it is applied."""
+        well-formed reply whose payload names an unknown tag, or a known
+        tag with an invalid field, is corrupt too, and none of it is
+        applied."""
         db, raws = build_fleet()
         builder = PipelineBuilder.from_session_config(OnlineSessionConfig())
         p_solo, m_solo = serve_single_process(db, raws, builder)
@@ -650,6 +719,6 @@ class TestForeignSeriesPooling:
         # Second tenant adopts the same match with *no* series payload.
         manager.adopt_matches(session_b.stream_id, [match], None)
         for session in (session_a, session_b):
-            resolved = session._series_of("PX/S00")
+            resolved = session._match_series["PX/S00"]
             assert np.array_equal(resolved.times, foreign.times)
         manager.close(keep_streams=False)

@@ -17,6 +17,7 @@ the similarity measure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -149,14 +150,28 @@ class Segment:
         return start + alpha * (self.end.position_array() - start)
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, flagged read-only."""
+    array.flags.writeable = False
+    return array
+
+
+#: The columns of an empty series (never written: it owns no buffers).
+_NO_FLOATS = _frozen(np.empty(0))
+_NO_STATES = _frozen(np.empty(0, dtype=np.int8))
+
+
 class PLRSeries:
     """A growable piecewise linear representation of one motion stream.
 
     The series is the unit the database stores (one per treatment session)
-    and the structure the online segmenter appends to.  Internally the
-    vertices live in Python lists; dense numpy views (``times``,
-    ``positions``, ``states``) are cached and invalidated on append, so the
-    common read-heavy access pattern stays vectorised.
+    and the structure the online segmenter appends to.  It is held as
+    three columns (float64 times, ``(n, ndim)`` float64 positions, int8
+    states) in buffers with spare capacity, read through read-only views:
+    :meth:`append` writes one row past every array already read, and
+    :meth:`replace_last` overwrites the last row in place.  Columns
+    handed to :meth:`from_dense` are adopted without a copy and never
+    written: the first change copies them once into owned buffers.
 
     Parameters
     ----------
@@ -166,14 +181,17 @@ class PLRSeries:
     """
 
     def __init__(self, ndim: int | None = None) -> None:
-        self._times: list[float] = []
-        self._positions: list[tuple[float, ...]] = []
-        self._states: list[BreathingState] = []
         self._ndim = ndim
-        self._cache: dict[str, np.ndarray] = {}
-        #: Dense columns not yet expanded into the vertex lists (the
-        #: snapshot-reopen fast path); ``None`` for list-backed series.
-        self._pending: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._n = 0
+        #: Read-only columns: views of the owned buffers, or adopted
+        #: arrays; rows past ``_n`` are spare capacity.
+        self._times = self._positions = _NO_FLOATS
+        self._states = _NO_STATES
+        #: The writable buffers behind the columns, or ``None`` while the
+        #: columns are adopted (or empty): the first change copies them.
+        self._buffers: tuple[np.ndarray, ...] | None = None
+        self._durations: np.ndarray | None = None
+        self._amplitudes: np.ndarray | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -192,15 +210,15 @@ class PLRSeries:
         positions: np.ndarray,
         states: np.ndarray,
     ) -> "PLRSeries":
-        """Adopt dense columns without materialising per-vertex objects.
+        """Adopt dense columns without a copy.
 
-        This is the storage layer's snapshot-reopen fast path: the three
-        arrays (typically read-only memory maps of snapshot columns)
-        become the series' cached dense views directly, so constructing
-        a million-vertex series costs O(1).  The per-vertex Python lists
-        are materialised lazily, on the first mutation or vertex access
-        — read paths that stay columnar (the signature index, the
-        matcher, the similarity kernels) never pay for them.
+        This is how the storage layer reopens a snapshot and how decoded
+        payloads become series: the three arrays (typically read-only
+        memory maps of snapshot columns) become the series' columns
+        directly, so constructing a million-vertex series costs O(1) and
+        creates no per-vertex objects.  The series never writes them (its
+        first change copies them into owned buffers), and the caller must
+        not either.
 
         The columns must satisfy the usual invariants (aligned lengths,
         strictly increasing times); they are trusted, not re-validated.
@@ -212,28 +230,14 @@ class PLRSeries:
         states = np.asarray(states, dtype=np.int8)
         if not (len(times) == len(positions) == len(states)):
             raise ValueError("times, positions and states must align")
-        series = cls(ndim=int(positions.shape[1]) if len(times) else None)
+        series = cls()
         if len(times):
-            series._pending = (times, positions, states)
-            for array in (times, positions, states):
-                if array.flags.writeable:
-                    array.setflags(write=False)
-            series._cache = {
-                "times": times,
-                "positions": positions,
-                "states": states,
-            }
+            series._ndim = int(positions.shape[1])
+            series._n = len(times)
+            series._times = _frozen(times.view())
+            series._positions = _frozen(positions.view())
+            series._states = _frozen(states.view())
         return series
-
-    def _materialise(self) -> None:
-        """Expand pending dense columns into the mutable vertex lists."""
-        if self._pending is None:
-            return
-        times, positions, states = self._pending
-        self._pending = None
-        self._times = times.tolist()
-        self._positions = [tuple(row) for row in positions.tolist()]
-        self._states = states.tolist()
 
     @classmethod
     def from_arrays(
@@ -242,17 +246,24 @@ class PLRSeries:
         positions: Sequence[Sequence[float]] | Sequence[float],
         states: Sequence[BreathingState | int],
     ) -> "PLRSeries":
-        """Build a series from parallel arrays of times, positions, states."""
+        """Build a series from parallel arrays of times, positions, states.
+
+        Raises :class:`ValueError` unless the columns align, the times
+        are finite and strictly increasing and every state is in the
+        alphabet; the checked columns are then adopted like
+        :meth:`from_dense`'s.
+        """
         times = np.asarray(times, dtype=float)
-        positions = np.asarray(positions, dtype=float)
-        if positions.ndim == 1:
-            positions = positions[:, np.newaxis]
-        if not (len(times) == len(positions) == len(states)):
-            raise ValueError("times, positions and states must align")
-        series = cls(ndim=positions.shape[1] if len(times) else None)
-        for t, pos, state in zip(times, positions, states):
-            series.append(Vertex(float(t), tuple(pos), BreathingState(state)))
-        return series
+        states = np.asarray(states)
+        if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
+            raise ValueError("a series needs finite, strictly increasing times")
+        if len(states) and (
+            states.dtype.kind != "i"
+            or states.min() < 0
+            or states.max() >= len(BreathingState)
+        ):
+            raise ValueError("series states must be in the state alphabet")
+        return cls.from_dense(times, positions, states.astype(np.int8))
 
     def to_payload(self) -> dict:
         """The JSON form of the series: its three columns as lists.
@@ -288,61 +299,87 @@ class PLRSeries:
                 else positions.ndim == 2 and positions.shape[1] > 0
             )
             and len(positions) == n
-            and np.isfinite(times).all()
-            and (np.diff(times) > 0).all()
             and np.isfinite(positions).all()
         ):
             raise ValueError(
-                "a series needs finite, strictly increasing times and one "
-                "finite position row per time"
+                "a series needs one state and one finite position row "
+                "per time"
             )
-        if n and (
-            states.dtype.kind != "i"
-            or states.min() < 0
-            or states.max() >= len(BreathingState)
-        ):
-            raise ValueError("series states must be in the state alphabet")
-        return cls.from_dense(times, positions, states.astype(np.int8))
+        return cls.from_arrays(times, positions, states)
+
+    # -- mutation ----------------------------------------------------------
 
     def append(self, vertex: Vertex) -> None:
-        """Append one vertex; times must be strictly increasing."""
-        if self._pending is not None:
-            self._materialise()
+        """Append one vertex; times must be finite and strictly increasing."""
+        n = self._n
+        self._check_vertex(vertex)
+        if n and vertex.time <= self._times[n - 1]:
+            raise ValueError(
+                f"vertex time {vertex.time} not after {self._times[n - 1]}"
+            )
         if self._ndim is None:
             self._ndim = vertex.ndim
-        elif vertex.ndim != self._ndim:
-            raise ValueError(
-                f"vertex has {vertex.ndim} dims, series has {self._ndim}"
-            )
-        if self._times and vertex.time <= self._times[-1]:
-            raise ValueError(
-                f"vertex time {vertex.time} not after {self._times[-1]}"
-            )
-        self._times.append(vertex.time)
-        self._positions.append(vertex.position)
-        self._states.append(vertex.state)
-        self._cache.clear()
+        if self._buffers is None or n == len(self._times):
+            self._reserve(2 * n + 8)
+        self._write(n, vertex)
+        self._n = n + 1
 
     def replace_last(self, vertex: Vertex) -> None:
         """Replace the final vertex (used by the online segmenter while the
         current segment is still open)."""
-        if self._pending is not None:
-            self._materialise()
-        if not self._times:
+        n = self._n
+        if not n:
             raise IndexError("series is empty")
-        if len(self._times) >= 2 and vertex.time <= self._times[-2]:
+        self._check_vertex(vertex)
+        if n >= 2 and vertex.time <= self._times[n - 2]:
             raise ValueError("replacement vertex breaks time ordering")
-        self._times[-1] = vertex.time
-        self._positions[-1] = vertex.position
-        self._states[-1] = vertex.state
-        self._cache.clear()
+        if self._buffers is None:
+            self._reserve(2 * n)
+        self._write(n - 1, vertex)
+
+    def _check_vertex(self, vertex: Vertex) -> None:
+        """Refuse a non-finite time or a position of another width."""
+        if not math.isfinite(vertex.time):
+            raise ValueError(f"vertex time {vertex.time} is not finite")
+        if self._ndim is not None and vertex.ndim != self._ndim:
+            raise ValueError(
+                f"vertex has {vertex.ndim} dims, series has {self._ndim}"
+            )
+
+    def _write(self, i: int, vertex: Vertex) -> None:
+        """Write ``vertex`` into row ``i`` of the owned buffers."""
+        times, positions, states = self._buffers
+        times[i] = vertex.time
+        positions[i] = vertex.position
+        states[i] = vertex.state
+        self._durations = self._amplitudes = None
+
+    def _reserve(self, capacity: int) -> None:
+        """Copy the rows into owned buffers of ``capacity`` rows."""
+        n = self._n
+        buffers = (
+            np.empty(capacity),
+            np.empty((capacity, self._ndim)),
+            np.empty(capacity, dtype=np.int8),
+        )
+        columns = (self._times, self._positions, self._states)
+        if n:
+            for buffer, column in zip(buffers, columns):
+                buffer[:n] = column[:n]
+        self._buffers = buffers
+        self._times, self._positions, self._states = (
+            _frozen(buffer.view()) for buffer in buffers
+        )
+
+    def __reduce__(self):
+        # Copies and pickles carry the live rows only, which the new
+        # series adopts (a deep copy hands it copies of them).
+        return PLRSeries.from_dense, (self.times, self.positions, self.states)
 
     # -- size and access ---------------------------------------------------
 
     def __len__(self) -> int:
-        if self._pending is not None:
-            return len(self._pending[0])
-        return len(self._times)
+        return self._n
 
     @property
     def ndim(self) -> int:
@@ -352,13 +389,14 @@ class PLRSeries:
     @property
     def n_segments(self) -> int:
         """Number of closed line segments (vertices - 1)."""
-        return max(0, len(self) - 1)
+        return max(0, self._n - 1)
 
     def vertex(self, i: int) -> Vertex:
         """The ``i``-th vertex (supports negative indexing)."""
-        if self._pending is not None:
-            self._materialise()
-        return Vertex(self._times[i], self._positions[i], self._states[i])
+        i = range(self._n)[i]  # IndexError past either end
+        return Vertex(
+            float(self._times[i]), self._positions[i].tolist(), int(self._states[i])
+        )
 
     def __getitem__(self, i: int) -> Vertex:
         return self.vertex(i)
@@ -385,59 +423,45 @@ class PLRSeries:
     @property
     def times(self) -> np.ndarray:
         """Vertex times as a read-only float array."""
-        return self._cached("times", lambda: np.asarray(self._times, float))
+        return self._times[: self._n]
 
     @property
     def positions(self) -> np.ndarray:
         """Vertex positions as a read-only ``(n, ndim)`` float array."""
-        return self._cached(
-            "positions", lambda: np.asarray(self._positions, float)
-        )
+        return self._positions[: self._n]
 
     @property
     def states(self) -> np.ndarray:
         """Vertex states as a read-only int8 array."""
-        return self._cached(
-            "states",
-            lambda: np.asarray([int(s) for s in self._states], np.int8),
-        )
+        return self._states[: self._n]
 
     @property
     def durations(self) -> np.ndarray:
         """Per-segment durations, shape ``(n_segments,)``."""
-        return self._cached("durations", lambda: np.diff(self.times))
+        if self._durations is None:
+            self._durations = _frozen(np.diff(self.times))
+        return self._durations
 
     @property
     def amplitudes(self) -> np.ndarray:
         """Per-segment amplitudes (displacement norms)."""
-        return self._cached(
-            "amplitudes",
-            lambda: np.linalg.norm(np.diff(self.positions, axis=0), axis=1),
-        )
-
-    def _cached(self, key: str, build) -> np.ndarray:
-        array = self._cache.get(key)
-        if array is None:
-            array = build()
-            array.setflags(write=False)
-            self._cache[key] = array
-        return array
+        if self._amplitudes is None:
+            self._amplitudes = _frozen(
+                np.linalg.norm(np.diff(self.positions, axis=0), axis=1)
+            )
+        return self._amplitudes
 
     # -- geometry ----------------------------------------------------------
 
     @property
     def start_time(self) -> float:
         """Time of the first vertex."""
-        if self._pending is not None:
-            return float(self._pending[0][0])
-        return self._times[0]
+        return float(self._times[0])
 
     @property
     def end_time(self) -> float:
         """Time of the last vertex."""
-        if self._pending is not None:
-            return float(self._pending[0][-1])
-        return self._times[-1]
+        return float(self._times[self._n - 1])
 
     @property
     def duration(self) -> float:
@@ -456,12 +480,17 @@ class PLRSeries:
         if not len(self):
             raise ValueError("series is empty")
         times = self.times
+        positions = self.positions
         if t <= times[0]:
-            return self.positions[0].copy()
+            return positions[0].copy()
         if t >= times[-1]:
-            return self.positions[-1].copy()
+            return positions[-1].copy()
         i = int(np.searchsorted(times, t, side="right")) - 1
-        return self.segment(i).position_at(t)
+        # Segment.position_at's arithmetic on the rows: the same bits.
+        t0 = float(times[i])
+        alpha = (t - t0) / (float(times[i + 1]) - t0)
+        start = positions[i]
+        return start + alpha * (positions[i + 1] - start)
 
     def segment_index_at(self, t: float) -> int:
         """Index of the segment covering time ``t`` (clamped at the ends)."""
@@ -499,9 +528,8 @@ class Subsequence:
     """A contiguous window of a :class:`PLRSeries`.
 
     The window spans vertices ``[start, stop)`` and therefore
-    ``stop - start - 1`` line segments.  Feature arrays are computed from
-    the parent series' cached dense views, so constructing subsequences is
-    cheap.
+    ``stop - start - 1`` line segments.  Feature arrays are slices of
+    the parent series' columns, so constructing subsequences is cheap.
     """
 
     series: PLRSeries

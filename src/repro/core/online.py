@@ -82,11 +82,6 @@ class OnlineAnalysisSession:
         Identity of the live stream.
     config:
         Session parameters.
-    prefilter:
-        Optional online pre-filter for the segmenter.
-    vertex_log:
-        Optional :class:`~repro.database.log.VertexLogWriter`; committed
-        vertices (and gate re-labels) are journalled for crash recovery.
     injector:
         Optional fault injector (chaos tests only).  The
         ``"online.observe"`` site fires once per raw sample and may
@@ -133,8 +128,6 @@ class OnlineAnalysisSession:
         patient_id: str,
         session_id: str = "LIVE",
         config: OnlineSessionConfig | None = None,
-        prefilter=None,
-        vertex_log=None,
         injector=None,
         matcher: SubsequenceMatcher | None = None,
         events: EventBus | None = None,
@@ -155,9 +148,7 @@ class OnlineAnalysisSession:
             db,
             patient_id,
             session_id,
-            vertex_log=vertex_log,
             events=events,
-            prefilter=prefilter,
             telemetry=self._t,
         )
         self.matcher = (

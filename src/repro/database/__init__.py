@@ -1,7 +1,7 @@
 """Hierarchical motion-stream database substrate.
 
 Implements the paper's Section 3.2 data model: patients own session
-streams, streams are PLR vertex lists.  Includes pluggable storage
+streams, streams are PLR series.  Includes pluggable storage
 backends (volatile in-memory and durable vertex-logged), streaming
 ingestion and the state-signature index (the paper's future-work
 indexing extension).

@@ -421,8 +421,8 @@ class LoggedBackend(InMemoryBackend):
       back one generation with a full tail replay.
     * Constructing a ``LoggedBackend`` over a directory that already
       holds a manifest **reopens** it: snapshot columns are
-      memory-mapped into lazily materialised series, only the journal
-      tail past the snapshot watermark is replayed, and a torn final
+      memory-mapped and adopted by each series without a copy, only the
+      journal tail past the snapshot watermark is replayed, and a torn final
       record (crash mid-write) is healed by truncating to the clean
       prefix.  :attr:`reopen_stats` records what the reopen touched;
       :attr:`loaded_index_buffers` carries the memory-mapped index
@@ -561,50 +561,30 @@ class LoggedBackend(InMemoryBackend):
             "files_read": [],
         }
         self.reopen_stats = stats
-        payload = json.loads(self._manifest_path.read_text())
-        if payload.get("format") not in (_MANIFEST_FORMAT, _MANIFEST_FORMAT_V1):
-            raise ValueError("not a repro logged-database manifest")
+        payload, chain, loaded = _read_manifest(self.directory, stats)
         self._counter = int(payload.get("counter", 0))
         self._snapshot_counter = int(payload.get("snapshot_counter", 0))
         self._history_complete = bool(payload.get("history_complete", True))
-        chain = [int(i) for i in payload.get("snapshots", [])]
-        # Journal base name per live stream — the incarnation identity.
-        # Segment names are never reused, so a stream removed and later
-        # re-created under the same id gets a different base, and stale
-        # snapshot entries for the dead incarnation are detectable.
-        stream_bases = {
-            s["stream_id"]: (s.get("segments") or [s["file"]])[0].split(".")[0]
-            for s in payload["streams"]
-        }
-
-        # Walk the snapshot chain newest-first; a torn or incomplete
-        # snapshot falls back to the previous generation (whose tail
-        # segments were retained for exactly this).
-        snapshot: dict | None = None
+        columns: dict = {}
         self._snapshot_chain = []
-        for snap_id in reversed(chain):
-            snapshot = self._load_snapshot(snap_id, stream_bases, stats)
-            if snapshot is not None:
-                stats["snapshot_id"] = snap_id
-                self._snapshot_chain = [i for i in chain if i <= snap_id]
-                break
-            stats["torn_snapshots"] += 1
-        if chain and snapshot is None:
-            if self._history_complete:
-                # Nothing has been pruned yet (at most one generation
-                # ever committed): the journal segments alone rebuild
-                # every stream from genesis.
-                self._snapshot_chain = []
-            else:
-                # Segments covered by the oldest retained generation
-                # are gone, so replaying without any snapshot would
-                # silently truncate history.  Every generation torn
-                # means corruption beyond the crash-consistency
-                # contract: refuse loudly.
-                raise ValueError(
-                    "no loadable snapshot generation "
-                    f"(tried {list(reversed(chain))})"
-                )
+        if loaded is not None:
+            columns, index_buffers = loaded
+            self.loaded_index_buffers = index_buffers or None
+            self._snapshot_chain = [
+                i for i in chain if i <= stats["snapshot_id"]
+            ]
+        elif chain and not self._history_complete:
+            # Every generation is torn.  While nothing has been pruned
+            # (at most one generation ever committed) the journal
+            # segments alone rebuild every stream from genesis; once
+            # the segments covered by the oldest retained generation
+            # are gone, replaying without any snapshot would silently
+            # truncate history — corruption beyond the
+            # crash-consistency contract: refuse loudly.
+            raise ValueError(
+                "no loadable snapshot generation "
+                f"(tried {list(reversed(chain))})"
+            )
 
         for patient_payload in payload["patients"]:
             attrs_payload = patient_payload.get("attributes")
@@ -620,14 +600,10 @@ class LoggedBackend(InMemoryBackend):
             )
             self._segments[stream_id] = segments
             self._rotations[stream_id] = int(stream_payload.get("rotations", 0))
-            entry = (
-                snapshot["streams"].get(stream_id)
-                if snapshot is not None
-                else None
-            )
+            entry = columns.get(stream_id)
             if entry is not None:
-                # O(1) adoption: the mmap'd columns back a lazy series;
-                # Python-level vertices materialise only on first edit.
+                # O(1) adoption: the series reads the mmap'd columns
+                # until its first change copies them.
                 series = PLRSeries.from_dense(
                     entry["times"], entry["positions"], entry["states"]
                 )
@@ -658,17 +634,6 @@ class LoggedBackend(InMemoryBackend):
                 injector=self.injector,
                 append=True,
             )
-
-    def _load_snapshot(
-        self, snapshot_id: int, stream_bases: dict, stats: dict
-    ) -> dict | None:
-        """Memory-map one snapshot generation; ``None`` when unusable."""
-        loaded = _read_snapshot(self.directory, snapshot_id, stream_bases, stats)
-        if loaded is None:
-            return None
-        streams, index_buffers = loaded
-        self.loaded_index_buffers = index_buffers or None
-        return {"streams": streams}
 
     # -- compaction -----------------------------------------------------------
 
@@ -960,6 +925,41 @@ class LoggedBackend(InMemoryBackend):
         self._writers.clear()
 
 
+def _read_manifest(
+    directory: Path, stats: dict
+) -> tuple[dict, list[int], tuple[dict, dict] | None]:
+    """Parse ``manifest.json`` and memory-map its newest readable snapshot.
+
+    Walks the snapshot chain newest-first: a torn or incomplete
+    generation is counted in ``stats["torn_snapshots"]`` and the
+    previous one is tried (its tail segments were retained for exactly
+    this).  Returns the manifest payload, its snapshot chain and the
+    :func:`_read_snapshot` result of the generation recorded in
+    ``stats["snapshot_id"]``, or ``None`` when no generation reads; the
+    caller decides whether that is an error.  Shared by
+    :meth:`LoggedBackend._reopen_inner` and :func:`open_snapshot_scan`.
+    """
+    payload = json.loads((directory / "manifest.json").read_text())
+    if payload.get("format") not in (_MANIFEST_FORMAT, _MANIFEST_FORMAT_V1):
+        raise ValueError("not a repro logged-database manifest")
+    chain = [int(i) for i in payload.get("snapshots", [])]
+    # Journal base name per live stream — the incarnation identity.
+    # Segment names are never reused, so a stream removed and later
+    # re-created under the same id gets a different base, and stale
+    # snapshot entries for the dead incarnation are detectable.
+    stream_bases = {
+        s["stream_id"]: (s.get("segments") or [s["file"]])[0].split(".")[0]
+        for s in payload["streams"]
+    }
+    for snap_id in reversed(chain):
+        loaded = _read_snapshot(directory, snap_id, stream_bases, stats)
+        if loaded is not None:
+            stats["snapshot_id"] = snap_id
+            return payload, chain, loaded
+        stats["torn_snapshots"] += 1
+    return payload, chain, None
+
+
 def _read_snapshot(
     directory: Path, snapshot_id: int, stream_bases: dict, stats: dict
 ) -> tuple[dict, dict] | None:
@@ -973,9 +973,7 @@ def _read_snapshot(
     same id), are skipped without touching their files — the live
     incarnation replays from its own journal.
 
-    Shared by :meth:`LoggedBackend._load_snapshot` (reopen) and
-    :func:`open_snapshot_scan` (read-only analytics scans).  Returns
-    ``(streams, index_buffers)``.
+    Returns ``(streams, index_buffers)``.
     """
     snap_dir = directory / "snapshots" / f"snap-{snapshot_id:06d}"
     manifest_path = snap_dir / "snapshot.json"
@@ -1050,7 +1048,7 @@ class SnapshotScan:
     Built by :func:`open_snapshot_scan`.  Unlike reopening a
     :class:`LoggedBackend`, a scan **opens no journal writers and
     replays no tail segments**: it memory-maps the snapshot's vertex
-    columns into lazy series and hands back the index's posting buffers
+    columns into adopting series and hands back the index's posting buffers
     (``idx-*`` columns) untouched.  That makes it safe to hold while a
     live writer process serves the same directory — snapshot generations
     are immutable once committed, the manifest is read through one
@@ -1112,24 +1110,10 @@ def open_snapshot_scan(directory: str | Path) -> SnapshotScan:
     has never run), or no retained generation is loadable.
     """
     directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
+    if not (directory / "manifest.json").exists():
         raise ValueError(
             f"{directory} is not a logged database (no manifest.json)"
         )
-    payload = json.loads(manifest_path.read_text())
-    if payload.get("format") not in (_MANIFEST_FORMAT, _MANIFEST_FORMAT_V1):
-        raise ValueError("not a repro logged-database manifest")
-    chain = [int(i) for i in payload.get("snapshots", [])]
-    if not chain:
-        raise ValueError(
-            f"{directory} has no committed snapshot to scan "
-            "(run compact first)"
-        )
-    stream_bases = {
-        s["stream_id"]: (s.get("segments") or [s["file"]])[0].split(".")[0]
-        for s in payload["streams"]
-    }
     stats = {
         "snapshot_id": None,
         "torn_snapshots": 0,
@@ -1138,13 +1122,13 @@ def open_snapshot_scan(directory: str | Path) -> SnapshotScan:
         "index_lengths_rejected": 0,
         "files_read": [],
     }
-    for snap_id in reversed(chain):
-        loaded = _read_snapshot(directory, snap_id, stream_bases, stats)
-        if loaded is not None:
-            stats["snapshot_id"] = snap_id
-            break
-        stats["torn_snapshots"] += 1
-    else:
+    payload, chain, loaded = _read_manifest(directory, stats)
+    if not chain:
+        raise ValueError(
+            f"{directory} has no committed snapshot to scan "
+            "(run compact first)"
+        )
+    if loaded is None:
         raise ValueError(
             "no loadable snapshot generation "
             f"(tried {list(reversed(chain))})"

@@ -8,11 +8,12 @@ and also saved in a database for future study".
 
 Commit fan-out happens here, in a fixed order per commit: first the
 database's durability hook (a no-op for the in-memory backend, a journal
-append for the logged one), then the directly attached vertex log (if
-any), then a ``vertex_committed`` / ``vertex_amended`` event on the
-session bus — so subscribers like the chaos harness's log writer observe
-commits at exactly the execution point the hard-wired call used to
-occupy, and injected crashes propagate identically.
+append for the logged one), then a ``vertex_committed`` /
+``vertex_amended`` event on the session bus — so subscribers like the
+chaos harness's log writer (attached with
+:func:`~repro.service.wiring.attach_vertex_log`) observe commits right
+after the durability hook, and injected crashes propagate through the
+ingesting call.
 """
 
 from __future__ import annotations
@@ -44,11 +45,6 @@ class StreamIngestor:
         Annotations stored on the stream record.
     fsa:
         Optional state automaton override (Section 6 domains).
-    vertex_log:
-        Optional :class:`~repro.database.log.VertexLogWriter`; every
-        committed vertex is appended to it, and every gate re-label of an
-        already-committed vertex is journalled as an amendment, so crash
-        replay reproduces the live series exactly.
     events:
         Optional session :class:`~repro.events.EventBus`; commits publish
         ``vertex_committed`` (``stream_id``, ``vertices``) and gate
@@ -66,14 +62,12 @@ class StreamIngestor:
         config: SegmenterConfig | None = None,
         metadata: dict | None = None,
         fsa=None,
-        vertex_log=None,
         events: EventBus | None = None,
         telemetry=None,
     ) -> None:
         self.database = database
         self.events = events
         self.segmenter = OnlineSegmenter(config, fsa, telemetry=telemetry)
-        self.vertex_log = vertex_log
         self.segmenter.on_amend = self._on_amend
         self.record = database.add_stream(
             patient_id=patient_id,
@@ -95,8 +89,6 @@ class StreamIngestor:
     def _on_commit(self, committed: list[Vertex]) -> None:
         """Fan a batch of committed vertices out to every sink, in order."""
         self.database.commit_vertices(self.stream_id, committed)
-        if self.vertex_log is not None:
-            self.vertex_log.extend(committed)
         if self.events is not None:
             self.events.publish(
                 "vertex_committed",
@@ -107,8 +99,6 @@ class StreamIngestor:
     def _on_amend(self, vertex: Vertex) -> None:
         """Segmenter gate re-label of the most recently committed vertex."""
         self.database.amend_vertex(self.stream_id, vertex)
-        if self.vertex_log is not None:
-            self.vertex_log.amend(vertex)
         if self.events is not None:
             self.events.publish(
                 "vertex_amended", stream_id=self.stream_id, vertex=vertex

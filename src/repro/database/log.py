@@ -245,6 +245,7 @@ def read_vertex_log(
                 TypeError,
                 ValueError,
                 IndexError,
+                OverflowError,
             ):
                 truncated = True
                 break  # torn tail; everything before it is safe

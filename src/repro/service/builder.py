@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from ..core.matching import SubsequenceMatcher
-from ..core.model import PLRSeries, Subsequence
 from ..core.prediction import OnlinePredictor
-from ..core.query import QueryConfig, generate_query
+from ..core.query import QueryConfig
 from ..core.segmentation import OnlineSegmenter, SegmenterConfig
 from ..core.similarity import SimilarityParams
 from ..database.ingest import StreamIngestor
@@ -163,7 +162,6 @@ class PipelineBuilder:
         database: MotionDatabase,
         patient_id: str,
         session_id: str,
-        vertex_log=None,
         events: EventBus | None = None,
         prefilter=None,
         telemetry=None,
@@ -176,7 +174,6 @@ class PipelineBuilder:
             self.segmenter,
             metadata=dict(self.metadata) if self.metadata is not None else None,
             fsa=self.fsa_factory() if self.fsa_factory is not None else None,
-            vertex_log=vertex_log,
             events=events,
             telemetry=telemetry,
         )
@@ -189,7 +186,6 @@ class PipelineBuilder:
         database: MotionDatabase,
         patient_id: str | None = None,
         session_id: str = "LIVE",
-        vertex_log=None,
         events: EventBus | None = None,
         prefilter=None,
         injector=None,
@@ -206,7 +202,6 @@ class PipelineBuilder:
                 database,
                 patient_id,
                 session_id,
-                vertex_log=vertex_log,
                 events=events,
                 prefilter=prefilter,
                 telemetry=telemetry,
@@ -217,7 +212,3 @@ class PipelineBuilder:
             predictor=predictor,
             ingestor=ingestor,
         )
-
-    def make_query(self, series: PLRSeries) -> Subsequence | None:
-        """The dynamic query over a series under this builder's settings."""
-        return generate_query(series, self.query)

@@ -133,8 +133,6 @@ class SessionManager:
         patient_id: str,
         session_id: str = "LIVE",
         config: OnlineSessionConfig | None = None,
-        vertex_log=None,
-        prefilter=None,
     ) -> OnlineAnalysisSession:
         """Start a live session for a patient; returns the session.
 
@@ -154,8 +152,6 @@ class SessionManager:
             patient_id,
             session_id,
             config=config if config is not None else self.default_config(),
-            prefilter=prefilter,
-            vertex_log=vertex_log,
             matcher=self.matcher,
             events=self.events,
             exclude_streams=self.live_stream_ids,

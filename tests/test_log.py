@@ -10,13 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.model import BreathingState, Vertex
+from repro.database.backend import LoggedBackend
 from repro.database.ingest import StreamIngestor
 from repro.database.log import VertexLogWriter, read_vertex_log
 from repro.database.store import MotionDatabase
+from repro.events import EventBus
+from repro.service.wiring import attach_vertex_log
 from repro.testing.faults import FaultInjector, FaultPlan, SimulatedCrash
 
 from conftest import make_series
 from tests_support import clean_cycles
+
+
+def _journalled_ingestor(db, log) -> StreamIngestor:
+    """A live ingestor whose commits reach ``log`` through the session bus."""
+    events = EventBus()
+    attach_vertex_log(events, log)
+    return StreamIngestor(db, "PA", "LIVE", events=events)
 
 
 class TestVertexLog:
@@ -113,7 +123,7 @@ class TestVertexLog:
         db.add_patient("PA")
         path = tmp_path / "live.jsonl"
         with VertexLogWriter(path, "PA/LIVE", "PA") as log:
-            ingestor = StreamIngestor(db, "PA", "LIVE", vertex_log=log)
+            ingestor = _journalled_ingestor(db, log)
             t, x = clean_cycles(n_cycles=4)
             ingestor.extend(t, x)
             ingestor.finish()
@@ -122,6 +132,55 @@ class TestVertexLog:
             recovered.series.times, ingestor.series.times
         )
         assert log.n_written == len(ingestor.series)
+
+
+#: Records whose time is not a finite float: Python's json writes and
+#: reads NaN and the infinities, and reads an integer of any size.
+_BAD_TIMES = ["NaN", "Infinity", "-Infinity", "1" + "0" * 400]
+
+
+@pytest.mark.parametrize("bad_time", _BAD_TIMES, ids=["nan", "inf", "-inf", "huge"])
+class TestNonFiniteTimeRecord:
+    """Such a record ends replay like any other invalid record."""
+
+    def test_fresh_replay_truncates_at_the_record(self, tmp_path, bad_time):
+        series = make_series(cycles=2)
+        path = tmp_path / "bad.jsonl"
+        with VertexLogWriter(path) as log:
+            log.extend(series)
+        clean_bytes = path.stat().st_size
+        with path.open("a") as handle:
+            handle.write(f'{{"t": {bad_time}, "p": [1.0], "s": 0}}\n')
+            handle.write('{"t": 1000.0, "p": [0.0], "s": 0}\n')
+        recovered = read_vertex_log(path)
+        assert recovered.truncated
+        assert recovered.clean_bytes == clean_bytes
+        assert recovered.series.times.tobytes() == series.times.tobytes()
+
+    def test_snapshot_backed_replay_truncates_at_the_record(
+        self, tmp_path, bad_time
+    ):
+        series = make_series(cycles=3)
+        db = MotionDatabase(backend=LoggedBackend(tmp_path))
+        db.add_patient("PA")
+        db.add_stream("PA", "S00", series=series)
+        db.compact()
+        tail = Vertex(series.end_time + 1.0, (0.5,), BreathingState.EX)
+        db.commit_vertices("PA/S00", [tail])
+        db.close()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        path = tmp_path / manifest["streams"][0]["segments"][-1]
+        clean_bytes = path.stat().st_size
+        with path.open("a") as handle:
+            handle.write(f'{{"t": {bad_time}, "p": [1.0], "s": 0}}\n')
+            handle.write('{"t": 1000.0, "p": [0.0], "s": 0}\n')
+        reopened = MotionDatabase(backend=LoggedBackend(tmp_path))
+        assert reopened.backend.reopen_stats["streams_from_snapshot"] == 1
+        recovered = reopened.stream("PA/S00").series
+        expected = np.append(series.times, tail.time)
+        assert recovered.times.tobytes() == expected.tobytes()
+        assert path.stat().st_size == clean_bytes  # healed at the record
+        reopened.close()
 
 
 class TestInjectedLogFaults:
@@ -207,7 +266,7 @@ class TestLogReplayProperty:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "live.jsonl"
             with VertexLogWriter(path, "PA/LIVE", "PA") as log:
-                ingestor = StreamIngestor(db, "PA", "LIVE", vertex_log=log)
+                ingestor = _journalled_ingestor(db, log)
                 ingestor.extend(t, x)
                 ingestor.finish()
             recovered = read_vertex_log(path)

@@ -1,5 +1,8 @@
 """Unit tests for the core PLR data model."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +104,43 @@ class TestPLRSeries:
     def test_replace_last_empty_raises(self):
         with pytest.raises(IndexError):
             PLRSeries().replace_last(Vertex(0.0, 0.0, EX))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_append_rejects_non_finite_time(self, bad):
+        series = make_series(cycles=1)
+        before = series.times.copy()
+        with pytest.raises(ValueError, match="not finite"):
+            series.append(Vertex(bad, 0.0, EX))
+        assert series.times.tobytes() == before.tobytes()
+        with pytest.raises(ValueError, match="not finite"):
+            PLRSeries().append(Vertex(bad, 0.0, EX))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_replace_last_rejects_non_finite_time(self, bad):
+        series = make_series(cycles=1)
+        before = series.times.copy()
+        with pytest.raises(ValueError, match="not finite"):
+            series.replace_last(Vertex(bad, 0.0, EX))
+        assert series.times.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("clone", ["deepcopy", "pickle"])
+    def test_a_copy_grows_apart_from_its_original(self, clone):
+        series = make_series(cycles=1)
+        copied = (
+            copy.deepcopy(series)
+            if clone == "deepcopy"
+            else pickle.loads(pickle.dumps(series))
+        )
+        before = series.times.copy()
+        copied.append(Vertex(series.end_time + 1.0, 5.0, EX))
+        copied.replace_last(Vertex(series.end_time + 2.0, 6.0, IRR))
+        assert copied.times.tobytes() == np.append(before, before[-1] + 2.0).tobytes()
+        assert copied[-1] == Vertex(series.end_time + 2.0, 6.0, IRR)
+        assert series.times.tobytes() == before.tobytes()
+
+    def test_from_arrays_rejects_non_finite_time(self):
+        with pytest.raises(ValueError):
+            PLRSeries.from_arrays([0.0, np.nan, 0.5], [0.0, 1.0, 2.0], [0, 1, 2])
 
     def test_dense_views_align(self, regular_series):
         s = regular_series
@@ -256,3 +296,81 @@ def test_property_series_interpolation_within_hull(times, amp):
     for t in np.linspace(times[0] - 1, times[-1] + 1, 17):
         value = series.position_at(float(t))[0]
         assert lo - 1e-9 <= value <= hi + 1e-9
+
+
+def _position(ndim: int):
+    return st.lists(
+        st.floats(-100.0, 100.0, allow_nan=False), min_size=ndim, max_size=ndim
+    )
+
+
+_GAP = st.floats(0.01, 5.0, allow_nan=False)
+_STATE = st.integers(0, len(BreathingState) - 1)
+_COLUMNS = ("times", "positions", "states", "durations", "amplitudes")
+
+
+class TestOneRepresentation:
+    """Random ``append``/``replace_last`` runs against adopted columns."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), ndim=st.integers(1, 3), n_adopted=st.integers(0, 6))
+    def test_growth_matches_adopted_columns(self, data, ndim, n_adopted):
+        gaps = data.draw(st.lists(_GAP, min_size=n_adopted, max_size=n_adopted))
+        times = np.cumsum(gaps).tolist()
+        positions = [data.draw(_position(ndim)) for _ in range(n_adopted)]
+        states = [data.draw(_STATE) for _ in range(n_adopted)]
+        if n_adopted:
+            sources = (
+                np.array(times),
+                np.array(positions).reshape(-1, ndim),
+                np.array(states, dtype=np.int8),
+            )
+            for source in sources:
+                source.flags.writeable = False
+            pristine = [source.copy() for source in sources]
+            series = PLRSeries.from_dense(*sources)
+        else:
+            sources, pristine = (), []
+            series = PLRSeries()
+        steps = data.draw(
+            st.lists(
+                st.tuples(st.booleans(), _GAP, _position(ndim), _STATE),
+                min_size=1,
+                max_size=25,
+            )
+        )
+        for replace, gap, position, state in steps:
+            replace = replace and bool(times)
+            if replace:
+                base = times[-2] if len(times) > 1 else 0.0
+            else:
+                base = times[-1] if times else 0.0
+            vertex = Vertex(base + gap, tuple(position), state)
+            if replace:
+                series.replace_last(vertex)
+                times[-1], positions[-1], states[-1] = base + gap, position, state
+            else:
+                read = [getattr(series, name) for name in _COLUMNS] if times else []
+                kept = [array.copy() for array in read]
+                series.append(vertex)
+                times.append(base + gap)
+                positions.append(position)
+                states.append(state)
+                for array, before in zip(read, kept):
+                    assert array.tobytes() == before.tobytes()
+            expected = PLRSeries.from_dense(
+                np.array(times),
+                np.array(positions).reshape(-1, ndim),
+                np.array(states, dtype=np.int8),
+            )
+            for name in _COLUMNS:
+                got, want = getattr(series, name), getattr(expected, name)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), name
+                assert not got.flags.writeable
+            assert series.durations.tobytes() == np.diff(series.times).tobytes()
+            norms = np.linalg.norm(np.diff(series.positions, axis=0), axis=1)
+            assert series.amplitudes.tobytes() == norms.tobytes()
+            assert series[-1] == vertex and len(series) == len(times)
+            for source, before in zip(sources, pristine):
+                assert source.tobytes() == before.tobytes()

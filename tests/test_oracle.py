@@ -230,11 +230,11 @@ class TestPLRInvariants:
         check_plr_invariants(segment_signal(t, x))
 
     def test_rejects_non_monotone_times(self):
-        # append() refuses out-of-order vertices, so corrupt the series
-        # in place — what a damaged snapshot would look like.
-        series = _series_from([1.0, 2.0, 3.0], [0, 1, 0], [0, 1, 2])
-        series._times[1] = 5.0
-        series._cache.clear()
+        # append() refuses out-of-order vertices, so adopt corrupt
+        # columns unchecked — what a damaged snapshot would look like.
+        series = PLRSeries.from_dense(
+            np.array([1.0, 5.0, 3.0]), np.array([0.0, 1.0, 0.0]), [0, 1, 2]
+        )
         with pytest.raises(EquivalenceError):
             check_plr_invariants(series)
 

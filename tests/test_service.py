@@ -79,10 +79,6 @@ class TestPipelineBuilder:
         pipeline = PipelineBuilder().build(MotionDatabase())
         assert pipeline.ingestor is None
 
-    def test_make_query(self, regular_series):
-        query = PipelineBuilder().make_query(regular_series)
-        assert query is not None and query.n_vertices >= 4
-
     def test_negative_max_matches_rejected_at_construction(self):
         with pytest.raises(ValueError, match="max_matches"):
             PipelineBuilder(max_matches=-1)

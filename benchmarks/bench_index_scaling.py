@@ -46,7 +46,11 @@ from _legacy_index import LegacyStateSignatureIndex, legacy_scan
 from repro.analysis.experiments import CohortConfig, build_cohort
 from repro.core.matching import SubsequenceMatcher
 from repro.core.query import generate_query
-from repro.database.index import CandidateSet, StateSignatureIndex
+from repro.database.index import (
+    CandidateSet,
+    StateSignatureIndex,
+    StreamTable,
+)
 from repro.database.ingest import StreamIngestor
 from repro.signals.respiratory import RespiratorySimulator, SessionConfig
 
@@ -116,7 +120,7 @@ class _InternedLegacyIndex(LegacyStateSignatureIndex):
         names, codes = np.unique(found.stream_ids, return_inverse=True)
         return CandidateSet(
             codes=codes,
-            names=names,
+            streams=StreamTable(names),
             starts=found.starts,
             amplitudes=found.amplitudes,
             durations=found.durations,

@@ -8,12 +8,12 @@ steady-state ``find_matches`` under each pluggable match mode:
 * **normalized** — same candidates, z-normalized amplitude kernel,
 * **warped** — coarse-to-fine banded-DTW retrieval (band 1).
 
-The rigid baseline is identity-gated before any timing is trusted: a
-matcher pinned to ``mode="rigid"`` must return byte-identical matches to
-a default-parameter matcher (the mode layer must cost the rigid path
-nothing semantically), and the rigid results must agree with the frozen
-naive oracle.  The machine-readable payload goes to ``BENCH_modes.json``
-at the repo root.
+Every mode is gated before any timing is trusted: a matcher pinned to
+``mode="rigid"`` must return byte-identical matches to a
+default-parameter matcher (the mode layer must cost the rigid path
+nothing semantically), and each mode's results must agree with its
+frozen naive oracle (``reference_matches_for_mode``).  The
+machine-readable payload goes to ``BENCH_modes.json`` at the repo root.
 
 Run from the repo root::
 
@@ -34,7 +34,10 @@ from repro.core.query import generate_query
 from repro.core.similarity import MatchMode, SimilarityParams
 from repro.database.ingest import StreamIngestor
 from repro.signals.respiratory import RespiratorySimulator, SessionConfig
-from repro.testing.oracle import check_equivalence, reference_matches
+from repro.testing.oracle import (
+    check_equivalence,
+    reference_matches_for_mode,
+)
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_modes.json"
 
@@ -93,7 +96,8 @@ def run(quick: bool) -> dict:
     repeats = 1 if quick else 3
     db, query, live_id = build_workload(config)
 
-    # -- identity gates: the mode layer must not move the rigid baseline ----
+    # -- gates: the mode layer must not move the rigid baseline, and every
+    # -- mode must agree with its frozen oracle ----------------------------
     default_matches = SubsequenceMatcher(db).find_matches(query, live_id)
     rigid_matches = SubsequenceMatcher(db, MODES["rigid"]).find_matches(
         query, live_id
@@ -101,8 +105,11 @@ def run(quick: bool) -> dict:
     assert rigid_matches == default_matches, (
         "mode='rigid' diverged from the default retrieval path"
     )
-    oracle = reference_matches(db, query, live_id)
-    check_equivalence(rigid_matches, oracle)
+    for params in MODES.values():
+        check_equivalence(
+            SubsequenceMatcher(db, params).find_matches(query, live_id),
+            reference_matches_for_mode(db, query, live_id, params=params),
+        )
 
     # -- warm steady-state retrieval per mode --------------------------------
     timings_ms: dict[str, float] = {}
@@ -141,6 +148,8 @@ def run(quick: bool) -> dict:
         "n_matches": n_matches,
         "rigid_identical_to_default": True,
         "rigid_matches_oracle": True,
+        "normalized_matches_oracle": True,
+        "warped_matches_oracle": True,
     }
 
 

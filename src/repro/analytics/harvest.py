@@ -29,7 +29,12 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ..database.backend import SnapshotScan
-from ..database.index import CandidateSet, LengthIndex, StateSignatureIndex
+from ..database.index import (
+    CandidateSet,
+    LengthIndex,
+    StateSignatureIndex,
+    StreamTable,
+)
 
 __all__ = ["IndexHarvest", "SnapshotHarvest"]
 
@@ -143,7 +148,9 @@ class SnapshotHarvest:
                 codes=np.concatenate(
                     [p.codes + offset for p, offset in zip(parts, offsets)]
                 ),
-                names=np.concatenate([p.names for p in parts]),
+                streams=StreamTable(
+                    np.concatenate([p.names for p in parts])
+                ),
                 starts=np.concatenate([p.starts for p in parts]),
                 amplitudes=np.concatenate([p.amplitudes for p in parts]),
                 durations=np.concatenate([p.durations for p in parts]),

@@ -47,7 +47,12 @@ from typing import Iterable
 
 import numpy as np
 
-from ..database.index import CandidateSet, LengthIndex, StateSignatureIndex
+from ..database.index import (
+    CandidateSet,
+    LengthIndex,
+    StateSignatureIndex,
+    StreamTable,
+)
 from ..database.store import MotionDatabase
 from .model import Subsequence
 from .query import warped_length_range
@@ -545,15 +550,15 @@ class SubsequenceMatcher:
             return MatchSet.empty()
         if stats is not None:
             stats["ranked"] = len(kept)
-        names = candidates.names
+        streams = candidates.streams
         codes = candidates.codes[kept]
         starts = candidates.starts[kept]
         distances = distances[kept]
         order = self._rank(
-            distances, _lexicographic(names)[codes], starts, max_matches
+            distances, streams.ranks()[codes], starts, max_matches
         )
         return MatchSet(
-            names,
+            streams.names,
             codes[order],
             starts[order],
             np.full(len(order), query.n_vertices, dtype=np.intp),
@@ -687,7 +692,7 @@ class SubsequenceMatcher:
             stats["ranked"] = n_ranked
         if not parts:
             return MatchSet.empty()
-        name_array = np.asarray(names, dtype=object)
+        streams = StreamTable(names)
         codes = np.concatenate([part[0] for part in parts])
         starts = np.concatenate([part[1] for part in parts])
         distances = np.concatenate([part[2] for part in parts])
@@ -697,13 +702,13 @@ class SubsequenceMatcher:
         )
         order = self._rank(
             distances,
-            _lexicographic(name_array)[codes],
+            streams.ranks()[codes],
             starts,
             max_matches,
             lengths,
         )
         return MatchSet(
-            name_array,
+            streams.names,
             codes[order],
             starts[order],
             lengths[order],
@@ -752,15 +757,20 @@ class SubsequenceMatcher:
 
         Masks out same-stream windows overlapping the query window
         (``n_vertices`` is the candidates' window length: warped groups
-        differ from the query's), excluded streams, and streams of
-        patients outside ``allowed``.  Stream-level tests run once per
-        interned name and expand to candidates by integer indexing.
+        differ from the query's), excluded streams, streams of patients
+        outside ``allowed``, and streams that vanished since the lookup.
+        Stream-level tests run once per interned name, with the owners
+        the candidates' :class:`StreamTable` caches, and expand to
+        candidates by integer indexing.
         """
-        names = candidates.names
+        streams = candidates.streams
+        names = streams.names
         codes = candidates.codes
         mask = np.ones(candidates.n_candidates, dtype=bool)
+        own = None
         if query_stream_id is not None:
-            hit = np.flatnonzero(names == query_stream_id)
+            own = names == query_stream_id
+            hit = np.flatnonzero(own)
             if len(hit):
                 starts = candidates.starts
                 mask &= ~(
@@ -776,9 +786,9 @@ class SubsequenceMatcher:
                     (nm not in excluded for nm in listed), bool, len(listed)
                 )
             if allowed is not None:
-                patient_of = self._patient_lookup(listed)
+                patients = streams.owners(self.database)[0].tolist()
                 name_ok &= np.fromiter(
-                    (patient_of[str(nm)] in allowed for nm in listed),
+                    (patient in allowed for patient in patients),
                     bool,
                     len(listed),
                 )
@@ -788,80 +798,66 @@ class SubsequenceMatcher:
             return None
         if n_admissible < candidates.n_candidates:
             candidates = candidates.select(mask)
+        kinds = self._provenance(streams, query_stream_id, own)
+        if kinds is None:
+            return None
         codes = candidates.codes
-        rel_of, weight_of, vanished = self._relations_by_code(
-            codes, candidates.names, query_stream_id, params
-        )
-        if vanished:
+        if _VANISHED in kinds:
             # A stream vanished between index catch-up and ranking
             # (concurrent removal).  Degrade gracefully: drop its
             # candidates rather than fail the whole retrieval; the next
             # lookup's epoch check purges the stale postings.
-            live = np.fromiter(
-                (r is not None for r in rel_of), bool, len(rel_of)
-            )[codes]
+            live = kinds[codes] != _VANISHED
             if not live.any():
                 return None
-            candidates = candidates.select(live)
-            codes = candidates.codes
-        return candidates, weight_of[codes], rel_of
+            if not live.all():
+                candidates = candidates.select(live)
+                codes = candidates.codes
+        weights = np.array(
+            [params.source_weight(r) for r in _RELATIONS[:-1]] + [0.0]
+        )
+        return candidates, weights[kinds][codes], _RELATIONS[kinds].tolist()
 
-    def _relations_by_code(
+    def _provenance(
         self,
-        codes: np.ndarray,
-        names: np.ndarray,
+        streams: StreamTable,
         query_stream_id: str | None,
-        params: SimilarityParams,
-    ) -> tuple[list[SourceRelation | None], np.ndarray, bool]:
-        """Provenance and source weight per interned stream code.
+        own: np.ndarray | None,
+    ) -> np.ndarray | None:
+        """Each code's provenance relative to the query stream, as an
+        index into ``_RELATIONS`` (``_VANISHED`` for a stream removed
+        since the lookup); ``None`` when the query stream itself is gone.
 
-        Returns ``(relation_by_code, weight_by_code, vanished)`` indexed
-        by code; only codes actually present in ``codes`` are evaluated
-        (absent entries stay ``None``/``0.0`` and are never read).  A
-        vanished stream (concurrent removal) leaves its relation ``None``
-        and sets the flag.
+        ``own`` marks the query stream's code.  The relation is derived
+        with array compares against the query stream's patient and
+        session, as :meth:`MotionDatabase.relation` defines it: the same
+        stream, or the same patient and session, is the same session.
         """
-        n_names = len(names)
-        rel_of: list[SourceRelation | None] = [None] * n_names
-        weight_of = np.zeros(n_names)
-        present = np.unique(codes).tolist()
         if query_stream_id is None:
-            relation = SourceRelation.OTHER_PATIENT
-            weight = float(params.source_weight(relation))
-            for c in present:
-                rel_of[c] = relation
-                weight_of[c] = weight
-            return rel_of, weight_of, False
-        vanished = False
-        for c in present:
-            try:
-                relation = self.database.relation(
-                    query_stream_id, str(names[c])
-                )
-            except KeyError:
-                vanished = True  # removed mid-retrieval
-                continue
-            rel_of[c] = relation
-            weight_of[c] = params.source_weight(relation)
-        return rel_of, weight_of, vanished
-
-    def _patient_lookup(self, stream_ids: Iterable) -> dict[str, str | None]:
-        """Owning patient per stream; ``None`` marks a vanished stream."""
-        lookup: dict[str, str | None] = {}
-        for sid in set(str(s) for s in stream_ids):
-            try:
-                lookup[sid] = self.database.stream(sid).patient_id
-            except KeyError:
-                lookup[sid] = None  # removed mid-retrieval: never allowed
-        return lookup
+            return np.full(len(streams.names), _OTHER_PATIENT)
+        try:
+            query = self.database.stream(query_stream_id)
+        except KeyError:
+            return None  # removed mid-retrieval: nothing is rankable
+        patients, sessions = streams.owners(self.database)
+        same_patient = patients == query.patient_id
+        kinds = np.where(same_patient, _SAME_PATIENT, _OTHER_PATIENT)
+        kinds[(same_patient & (sessions == query.session_id)) | own] = (
+            _SAME_SESSION
+        )
+        kinds[np.equal(patients, None)] = _VANISHED
+        return kinds
 
 
-def _lexicographic(names: np.ndarray) -> np.ndarray:
-    """Each interned name's rank in lexicographic order.
-
-    Intern tables are insertion-ordered but the ranking contract ties on
-    the id *string*, so ranking keys map codes through these ranks.
-    """
-    ranks = np.empty(len(names), dtype=np.intp)
-    ranks[np.argsort(names)] = np.arange(len(names))
-    return ranks
+#: Provenance by the codes ``SubsequenceMatcher._provenance`` assigns;
+#: the last entry stands for a stream that vanished mid-retrieval.
+_RELATIONS = np.array(
+    [
+        SourceRelation.SAME_SESSION,
+        SourceRelation.SAME_PATIENT,
+        SourceRelation.OTHER_PATIENT,
+        None,
+    ],
+    dtype=object,
+)
+_SAME_SESSION, _SAME_PATIENT, _OTHER_PATIENT, _VANISHED = range(4)

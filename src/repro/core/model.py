@@ -446,6 +446,10 @@ class PLRSeries:
     def amplitudes(self) -> np.ndarray:
         """Per-segment amplitudes (displacement norms)."""
         if self._amplitudes is None:
+            if self._n == 0:
+                # An empty series' positions are ``(0,)``, not ``(0, ndim)``:
+                # the shape snapshots store for an empty stream.
+                return _NO_FLOATS
             self._amplitudes = _frozen(
                 np.linalg.norm(np.diff(self.positions, axis=0), axis=1)
             )

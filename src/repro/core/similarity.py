@@ -391,6 +391,63 @@ def batch_distance_normalized(
     return base / source_weights
 
 
+@lru_cache(maxsize=512)
+def _warp_path_cells(
+    query_states: tuple[int, ...], candidate_states: tuple[int, ...], band: int
+) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]] | None:
+    """The alignment cells a banded warp of these state sequences can use.
+
+    A cell ``(i, j)`` (1-based, pairing query segment ``i`` with
+    candidate segment ``j``) is *live* when ``|i - j| <= band``, the two
+    segment states are equal, and some monotone path of such cells leads
+    from the origin ``(0, 0)`` through it to ``(nq, nc)``.  Every other
+    cell of the DP is ``inf`` whatever the features or lies on no path
+    to the end cell, so it never changes the end cell.
+
+    Returns ``None`` when no live path exists.  Otherwise the live cells
+    in DP order (rows ascending, columns ascending within a row) as
+    0-based query and candidate segment indices, and per live cell the
+    positions in that order of its live predecessors among ``(i-1, j)``,
+    ``(i, j-1)`` and ``(i-1, j-1)``, in that order; ``-1`` stands for
+    the origin, which only cell ``(1, 1)`` has.  Memoised: a group's
+    state sequence recurs across queries, and sequences are short.
+    """
+    nq, nc = len(query_states), len(candidate_states)
+    reached = {(0, 0)}
+    forward = []
+    for i in range(1, nq + 1):
+        for j in range(max(1, i - band), min(nc, i + band) + 1):
+            if query_states[i - 1] == candidate_states[j - 1] and (
+                (i - 1, j) in reached
+                or (i, j - 1) in reached
+                or (i - 1, j - 1) in reached
+            ):
+                reached.add((i, j))
+                forward.append((i, j))
+    if (nq, nc) not in reached:
+        return None
+    live = {(nq, nc)}
+    for i, j in reversed(forward):
+        if (i + 1, j) in live or (i, j + 1) in live or (i + 1, j + 1) in live:
+            live.add((i, j))
+    cells = [cell for cell in forward if cell in live]
+    position = {cell: k for k, cell in enumerate(cells)}
+    position[(0, 0)] = -1
+    predecessors = tuple(
+        tuple(
+            position[p]
+            for p in ((i - 1, j), (i, j - 1), (i - 1, j - 1))
+            if p in position
+        )
+        for i, j in cells
+    )
+    rows = np.array([i - 1 for i, _ in cells], dtype=np.intp)
+    cols = np.array([j - 1 for _, j in cells], dtype=np.intp)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols, predecessors
+
+
 def batch_warped_distance(
     query_states: np.ndarray,
     query_amplitudes: np.ndarray,
@@ -406,7 +463,7 @@ def batch_warped_distance(
     All candidates in the batch share one segment-state sequence
     ``candidate_states`` (the state-signature index stores windows in
     per-signature postings, so a posting *is* such a group), which lets
-    the state-mismatch mask be computed once and the DP run vectorised
+    the alignment structure be worked out once and the DP run vectorised
     over the candidate axis.
 
     Alignment cells pair query segment ``i`` with candidate segment
@@ -417,6 +474,14 @@ def batch_warped_distance(
     widened for unequal lengths; length pairs beyond the band are simply
     incomparable).  ``inf`` results mean no within-band, state-consistent
     alignment exists; callers must filter non-finite distances.
+
+    Only the live cells (:func:`_warp_path_cells`) are scored: each gets
+    one row, holding first its cost and then its accumulated distance.
+    A live cell runs the reference DP's operations in its order — the
+    cost, ``min(min(up, left), diag)`` over its predecessors, one add —
+    with the predecessors that are ``inf`` whatever the features left
+    out of the ``min``, which returns the other operand bit for bit.  So
+    every distance is the one the full ``(nq + 1) x (nc + 1)`` DP yields.
 
     The ``normalize_inner_sum`` ablation divides by the *constant* query
     weight sum — a path-dependent normalizer would break the DP's
@@ -433,41 +498,47 @@ def batch_warped_distance(
     band = params.warp_band
     if nq < 1 or nc < 1 or abs(nq - nc) > band:
         return np.full(n_candidates, np.inf)
+    path = _warp_path_cells(
+        tuple(np.asarray(query_states).tolist()),
+        tuple(np.asarray(candidate_states).tolist()),
+        band,
+    )
+    if path is None:
+        return np.full(n_candidates, np.inf)
+    rows, cols, predecessors = path
 
     weights = vertex_weights(
         nq, params.vertex_base_weight if params.use_vertex_weights else 1.0
     )
     q_amps = np.asarray(query_amplitudes, dtype=float)
     q_durs = np.asarray(query_durations, dtype=float)
-    c_amps = np.asarray(candidate_amplitudes, dtype=float)
-    c_durs = np.asarray(candidate_durations, dtype=float)
+    # One contiguous row per live cell: the candidate column it reads,
+    # gathered once, then turned in place into the cell's cost.
+    acc = np.asarray(candidate_amplitudes, dtype=float).T[cols]
+    np.subtract(q_amps[rows, None], acc, out=acc)
+    np.abs(acc, out=acc)
+    np.multiply(params.amplitude_weight, acc, out=acc)
+    dur_term = np.asarray(candidate_durations, dtype=float).T[cols]
+    np.subtract(q_durs[rows, None], dur_term, out=dur_term)
+    np.abs(dur_term, out=dur_term)
+    np.multiply(params.frequency_weight, dur_term, out=dur_term)
+    np.add(acc, dur_term, out=acc)
+    np.multiply(weights[rows, None], acc, out=acc)
 
-    # cost[i, j, :] — query segment i vs candidate segment j, all
-    # candidates at once.  State mismatches are shared across the group.
-    amp_diff = np.abs(q_amps[:, None, None] - c_amps.T[None, :, :])
-    dur_diff = np.abs(q_durs[:, None, None] - c_durs.T[None, :, :])
-    cost = weights[:, None, None] * (
-        params.amplitude_weight * amp_diff
-        + params.frequency_weight * dur_diff
-    )
-    state_mismatch = (
-        np.asarray(query_states, dtype=np.int64)[:, None]
-        != np.asarray(candidate_states, dtype=np.int64)[None, :]
-    )
-    cost[state_mismatch] = np.inf
+    best = dur_term[0]
+    for k, preds in enumerate(predecessors):
+        cell = acc[k]
+        if preds[0] < 0:  # cell (1, 1): the origin's 0.0 is its best
+            np.add(cell, 0.0, out=cell)
+        elif len(preds) == 1:
+            np.add(cell, acc[preds[0]], out=cell)
+        else:
+            np.minimum(acc[preds[0]], acc[preds[1]], out=best)
+            if len(preds) == 3:
+                np.minimum(best, acc[preds[2]], out=best)
+            np.add(cell, best, out=cell)
 
-    acc = np.full((nq + 1, nc + 1, n_candidates), np.inf)
-    acc[0, 0, :] = 0.0
-    for i in range(1, nq + 1):
-        lo = max(1, i - band)
-        hi = min(nc, i + band)
-        for j in range(lo, hi + 1):
-            best = np.minimum(
-                np.minimum(acc[i - 1, j], acc[i, j - 1]), acc[i - 1, j - 1]
-            )
-            acc[i, j] = cost[i - 1, j - 1] + best
-
-    base = acc[nq, nc].copy()
+    base = acc[-1].copy()
     if params.normalize_inner_sum:
         base = base / weights.sum()
     if not params.use_source_weights:

@@ -48,6 +48,7 @@ __all__ = [
     "CandidateSet",
     "LengthIndex",
     "StateSignatureIndex",
+    "StreamTable",
     "N_STATES",
     "MAX_RADIX_SEGMENTS",
     "encode_signature",
@@ -212,19 +213,85 @@ def _sorted_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.r_[0, change, len(keys)].astype(np.int64)
 
 
+class StreamTable:
+    """A stream intern table at one state, with what retrieval derives
+    from it per code.
+
+    ``names[code]`` is the stream id of ``code`` (an object array of
+    str).  A length index hands out one table per state of its intern
+    table and a new one once a stream is interned, so the per-code
+    columns below are computed at most once per state, each on the
+    first lookup that asks for it: the names' lexicographic ranks
+    (:meth:`ranks`) and each code's patient and session
+    (:meth:`owners`).
+    """
+
+    __slots__ = ("names", "_ranks", "_owners", "_owners_epoch")
+
+    def __init__(self, names) -> None:
+        self.names = np.asarray(names, dtype=object)
+        self._ranks: np.ndarray | None = None
+        self._owners: tuple[np.ndarray, np.ndarray] | None = None
+        self._owners_epoch: int | None = None
+
+    def ranks(self) -> np.ndarray:
+        """Each code's rank in the lexicographic order of the names.
+
+        Codes are assigned in interning order, but retrieval ties on the
+        stream id *string*, so ranking keys map codes through these.
+        """
+        if self._ranks is None:
+            ranks = np.empty(len(self.names), dtype=np.intp)
+            ranks[np.argsort(self.names)] = np.arange(len(self.names))
+            self._ranks = ranks
+        return self._ranks
+
+    def owners(self, database: MotionDatabase) -> tuple[np.ndarray, np.ndarray]:
+        """Each code's patient id and session id in ``database`` (object
+        arrays); both are ``None`` for a stream the database no longer
+        holds.
+
+        A read that finds every stream is reused for as long as the
+        database's ``removal_epoch`` stays the same: a stream id only
+        changes owners by a removal and a re-creation.  So a removal,
+        even one during the lookup (by a fault callback, say), forces a
+        fresh read, and a read that misses a stream is not kept.
+        """
+        epoch = database.removal_epoch
+        if self._owners is not None and self._owners_epoch == epoch:
+            return self._owners
+        patients, sessions = [], []
+        for name in self.names.tolist():
+            try:
+                record = database.stream(name)
+            except KeyError:  # removed mid-retrieval
+                patients.append(None)
+                sessions.append(None)
+            else:
+                patients.append(record.patient_id)
+                sessions.append(record.session_id)
+        owners = (
+            np.asarray(patients, dtype=object),
+            np.asarray(sessions, dtype=object),
+        )
+        if None not in patients:
+            self._owners, self._owners_epoch = owners, epoch
+        return owners
+
+
 @dataclass(frozen=True)
 class CandidateSet:
     """All indexed windows sharing one state signature.
 
     Attributes
     ----------
-    codes, names:
-        The owning stream of window ``i`` is ``names[codes[i]]``:
-        ``names`` is an intern table (object array of str, one entry per
-        stream) and ``codes`` indexes it per window.  Consumers do
-        per-stream work (provenance, filters, ranking keys) once per
-        unique stream and expand it by integer fancy-indexing instead of
-        paying Python-level string work per candidate.
+    codes, streams:
+        The owning stream of window ``i`` is ``names[codes[i]]``, where
+        ``names`` is the intern table ``streams`` holds (one entry per
+        stream).  Consumers do per-stream work (provenance, filters,
+        ranking keys) once per unique stream and expand it by integer
+        fancy-indexing instead of paying Python-level string work per
+        candidate.
     starts:
         Window start vertex per window.
     amplitudes, durations:
@@ -232,10 +299,15 @@ class CandidateSet:
     """
 
     codes: np.ndarray
-    names: np.ndarray
+    streams: StreamTable
     starts: np.ndarray
     amplitudes: np.ndarray
     durations: np.ndarray
+
+    @property
+    def names(self) -> np.ndarray:
+        """The intern table: stream id per code (object array of str)."""
+        return self.streams.names
 
     @property
     def n_candidates(self) -> int:
@@ -251,7 +323,7 @@ class CandidateSet:
         """The subset of windows where ``mask`` is true."""
         return CandidateSet(
             codes=self.codes[mask],
-            names=self.names,
+            streams=self.streams,
             starts=self.starts[mask],
             amplitudes=self.amplitudes[mask],
             durations=self.durations[mask],
@@ -265,11 +337,13 @@ _COLUMNS = ("codes", "starts", "amplitudes", "durations")
 _BUFFER_COLUMNS = ("stream_codes", "starts", "amplitudes", "durations")
 
 
-def _candidate_slice(postings, rows: slice, names) -> CandidateSet:
+def _candidate_slice(
+    postings, rows: slice, streams: StreamTable
+) -> CandidateSet:
     """Rows ``rows`` of a posting layout's columns, as a candidate set."""
     return CandidateSet(
         postings.codes[rows],
-        names,
+        streams,
         postings.starts[rows],
         postings.amplitudes[rows],
         postings.durations[rows],
@@ -318,9 +392,9 @@ class _PostingTable:
             return i
         return -1
 
-    def select(self, i: int, names: np.ndarray) -> CandidateSet:
+    def select(self, i: int, streams: StreamTable) -> CandidateSet:
         """Key ``i``'s windows as zero-copy slices of the columns."""
-        return _candidate_slice(self, slice(self.lo[i], self.hi[i]), names)
+        return _candidate_slice(self, slice(self.lo[i], self.hi[i]), streams)
 
 
 class _GrownPosting:
@@ -373,9 +447,9 @@ class _GrownPosting:
         self.durations[block] = durations
         self.n += k
 
-    def select(self, names: np.ndarray) -> CandidateSet:
+    def select(self, streams: StreamTable) -> CandidateSet:
         """The posting's windows as zero-copy slices of the buffers."""
-        return _candidate_slice(self, slice(0, self.n), names)
+        return _candidate_slice(self, slice(0, self.n), streams)
 
 
 class LengthIndex:
@@ -403,6 +477,9 @@ class LengthIndex:
         self._next_start: dict[str, int] = {}
         self._stream_names: list[str] = []
         self._stream_codes: dict[str, int] = {}
+        #: The intern table handed out by ``streams``, or ``None`` before
+        #: the first lookup.
+        self._streams: StreamTable | None = None
 
     @classmethod
     def scan(cls, records, n_vertices: int) -> "LengthIndex":
@@ -455,9 +532,14 @@ class LengthIndex:
             self._stream_names.append(stream_id)
         return code
 
-    def stream_names(self) -> np.ndarray:
-        """The intern table as an object array (for fancy expansion)."""
-        return np.asarray(self._stream_names, dtype=object)
+    def streams(self) -> StreamTable:
+        """The intern table at its current state: one :class:`StreamTable`
+        per state, so its cached per-code columns outlive every lookup
+        until a stream is interned (the table only grows)."""
+        streams = self._streams
+        if streams is None or len(streams.names) != len(self._stream_names):
+            streams = self._streams = StreamTable(self._stream_names)
+        return streams
 
     # -- catch-up ------------------------------------------------------------
 
@@ -603,18 +685,18 @@ class LengthIndex:
 
     # -- lookups -------------------------------------------------------------
 
-    def _lookup(self, key, names: np.ndarray) -> CandidateSet | None:
+    def _lookup(self, key, streams: StreamTable) -> CandidateSet | None:
         posting = self._grown.get(key)
         if posting is not None:
-            return posting.select(names)
+            return posting.select(streams)
         table = self._table
         i = table.find(key)
-        return None if i < 0 else table.select(i, names)
+        return None if i < 0 else table.select(i, streams)
 
     def candidates(self, signature) -> CandidateSet | None:
         """All windows whose segment states equal ``signature``, or
         ``None`` when no window matches."""
-        return self._lookup(encode_signature(signature), self.stream_names())
+        return self._lookup(encode_signature(signature), self.streams())
 
     def coarse_groups(
         self, signature
@@ -630,9 +712,9 @@ class LengthIndex:
         coarse, fine, states = self._coarse_column()
         lo = np.searchsorted(coarse, target, side="left")
         hi = np.searchsorted(coarse, target, side="right")
-        names = self.stream_names()
+        streams = self.streams()
         return [
-            (tuple(row), self._lookup(key, names))
+            (tuple(row), self._lookup(key, streams))
             for row, key in zip(states[lo:hi].tolist(), fine[lo:hi].tolist())
         ]
 
@@ -703,9 +785,9 @@ class LengthIndex:
     def posting_groups(self) -> list[tuple[int, CandidateSet]]:
         """Every posting, keys ascending."""
         table = self.table()
-        names = self.stream_names()
+        streams = self.streams()
         return [
-            (key, table.select(i, names))
+            (key, table.select(i, streams))
             for i, key in enumerate(table.keys.tolist())
         ]
 

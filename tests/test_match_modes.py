@@ -26,11 +26,15 @@ from hypothesis import strategies as st
 
 from repro.core.matching import PartialTopK, QueryView, SubsequenceMatcher
 from repro.core.model import BreathingState, PLRSeries, Vertex
-from repro.core.similarity import MatchMode, SimilarityParams
+from repro.core.query import warped_length_range
+from repro.core.similarity import MatchMode, SimilarityParams, SourceRelation
+from repro.database.backend import create_backend
+from repro.database.store import MotionDatabase
 from repro.service.builder import PipelineBuilder
+from repro.testing.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.testing.oracle import check_equivalence, reference_matches_for_mode
 
-from conftest import EOE, EX, IN, make_test_database
+from conftest import EOE, EX, IN, make_series, make_test_database
 
 #: Permissive enough that random databases produce matches, finite so a
 #: spurious ``inf`` distance can never slip through as a match.
@@ -419,3 +423,106 @@ def test_partial_topk_merge_equals_single_process(mode, seed):
         for shard in shards
     ]
     assert PartialTopK.merge(parts, max_matches=5) == solo
+
+
+# -- cached admission columns ----------------------------------------------------
+
+
+def admission_database(backend, tmp_path):
+    """Three patients' regular streams: every window of the right shape
+    matches, so each stream is represented in every mode's result."""
+    db = MotionDatabase(backend=create_backend(backend, str(tmp_path)))
+    for p, amplitude in enumerate((10.0, 9.0, 11.0)):
+        pid = f"P{p}"
+        db.add_patient(pid)
+        for s in range(2):
+            db.add_stream(
+                pid,
+                f"S{s}",
+                series=make_series(cycles=6 + s, amplitude=amplitude + s),
+            )
+    return db
+
+
+def streams_of(matches):
+    return {match.stream_id for match in matches}
+
+
+@pytest.mark.parametrize("use_index", [True, False])
+@pytest.mark.parametrize("mode", SWEEP_MODES)
+@pytest.mark.parametrize("backend", ["in_memory", "logged"])
+def test_recreated_stream_gets_its_new_relation(
+    backend, mode, use_index, tmp_path
+):
+    """A stream removed and re-created under its id for another patient
+    is ranked with the new patient's relation and ``w_s`` at the next
+    find, although the previous find cached every code's owners."""
+    params = MODE_PARAMS[mode]
+    db = admission_database(backend, tmp_path)
+    matcher = SubsequenceMatcher(db, params, use_index=use_index)
+    query = db.stream("P0/S0").series.suffix(7)
+    before = matcher.find_matches(query, "P0/S0", threshold=BIG)
+    moved = [m for m in before if m.stream_id == "P1/S1"]
+    assert moved
+    assert {m.relation for m in moved} == {SourceRelation.OTHER_PATIENT}
+
+    series = db.stream("P1/S1").series
+    db.remove_stream("P1/S1")
+    db.add_stream("P0", "S9", series=series, stream_id="P1/S1")
+    after = matcher.find_matches(query, "P0/S0", threshold=BIG)
+    moved = [m for m in after if m.stream_id == "P1/S1"]
+    assert moved
+    assert {m.relation for m in moved} == {SourceRelation.SAME_PATIENT}
+    oracle = reference_matches_for_mode(
+        db, query, "P0/S0", threshold=BIG, params=params
+    )
+    check_equivalence(after, oracle)
+    assert after == SubsequenceMatcher(db, params).find_matches(
+        query, "P0/S0", threshold=BIG
+    )
+    db.close()
+
+
+@pytest.mark.parametrize("mode", SWEEP_MODES)
+@pytest.mark.parametrize("backend", ["in_memory", "logged"])
+def test_stream_removed_during_a_lookup_is_dropped(backend, mode, tmp_path):
+    """A stream removed by an ``index.catch_up`` fault callback while a
+    lookup walks the stream records is absent from that find's result —
+    the cached owners predate the removal — and the next find equals
+    the oracle over the surviving streams."""
+    params = MODE_PARAMS[mode]
+    db = admission_database(backend, tmp_path)
+    matcher = SubsequenceMatcher(db, params)
+    query = db.stream("P0/S0").series.suffix(7)
+    victim = "P2/S0"
+    warm = matcher.find_matches(query, "P0/S0", threshold=BIG)
+    assert victim in streams_of(warm)
+
+    # Fire on the second record the lookup at the query's length walks
+    # (warped retrieval looks the shorter length up first; the victim
+    # only matches at the query's): the warm-up find has cached the
+    # owners of every interned stream, the victim's too.
+    earlier_lookups = 0
+    if params.mode is MatchMode.WARPED:
+        lengths = list(warped_length_range(query.n_vertices, params.warp_band))
+        earlier_lookups = lengths.index(query.n_vertices)
+    at = earlier_lookups * db.n_streams + 1
+    matcher.index.injector = injector = FaultInjector(
+        FaultPlan([FaultSpec("index.catch_up", "remove_stream", at=at)]),
+        callbacks={"remove_stream": lambda spec: db.remove_stream(victim)},
+    )
+    during = matcher.find_matches(query, "P0/S0", threshold=BIG)
+    assert injector.exhausted
+    assert victim not in db
+    assert victim not in streams_of(during)
+
+    oracle = reference_matches_for_mode(
+        db, query, "P0/S0", threshold=BIG, params=params
+    )
+    check_equivalence(during, oracle)
+    after = matcher.find_matches(query, "P0/S0", threshold=BIG)
+    check_equivalence(after, oracle)
+    assert after == SubsequenceMatcher(db, params).find_matches(
+        query, "P0/S0", threshold=BIG
+    )
+    db.close()

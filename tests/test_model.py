@@ -151,6 +151,26 @@ class TestPLRSeries:
         with pytest.raises(ValueError):
             regular_series.times[0] = 99.0
 
+    @pytest.mark.parametrize("construct", ["new", "from_dense"])
+    def test_empty_series_has_empty_amplitudes(self, construct):
+        """An empty series — fresh, or adopted from the ``(0,)`` position
+        column compaction writes for an empty stream — has no segments
+        and no amplitudes, and keeps that position shape."""
+        if construct == "new":
+            series = PLRSeries()
+        else:
+            series = PLRSeries.from_dense(
+                np.empty(0), np.empty(0), np.empty(0, dtype=np.int8)
+            )
+        amplitudes = series.amplitudes
+        assert amplitudes.shape == (0,) and amplitudes.dtype == np.float64
+        assert not amplitudes.flags.writeable
+        assert series.durations.shape == (0,)
+        assert series.positions.shape == (0,)
+        series.append(Vertex(0.0, 1.0, EX))
+        series.append(Vertex(1.0, 3.0, EOE))
+        assert series.amplitudes.tolist() == [2.0]
+
     def test_cache_invalidated_on_append(self):
         series = make_series(cycles=1)
         n = len(series.times)
